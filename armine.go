@@ -31,7 +31,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/db/seg"
-	"repro/internal/eclat"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/hashtree"
@@ -43,7 +42,6 @@ import (
 	"repro/internal/sampling"
 	"repro/internal/seqpat"
 	"repro/internal/taxonomy"
-	"repro/internal/vbit"
 )
 
 // Item is a single attribute (re-export of itemset.Item).
@@ -93,38 +91,18 @@ type ParallelOptions = ccpd.Options
 // ParallelStats carries per-phase wall-clock timings.
 type ParallelStats = ccpd.Stats
 
-// MineCCPD runs the Common Candidate Partitioned Database algorithm.
-func MineCCPD(d *Database, opts ParallelOptions) (*Result, *ParallelStats, error) {
-	return ccpd.Mine(d, opts)
-}
-
-// MinePCCD runs the Partitioned Candidate Common Database algorithm.
-func MinePCCD(d *Database, opts ParallelOptions) (*Result, *ParallelStats, error) {
-	return ccpd.MinePCCD(d, opts)
+// MineCCPD runs the paper's Common Candidate Partitioned Database algorithm
+// with its full option set. On ctx cancellation the completed iterations are
+// returned together with a *CanceledError naming the interrupted phase.
+// Every other engine (and CCPD through the engine-independent Spec) runs
+// through DispatchEngine.
+func MineCCPD(ctx context.Context, d *Database, opts ParallelOptions) (*Result, *ParallelStats, error) {
+	return ccpd.Mine(ctx, d, opts)
 }
 
 // MineParallel runs CCPD with every optimization enabled.
 func MineParallel(d *Database, minSupport float64, procs int) (*Result, *ParallelStats, error) {
 	return core.MineParallel(d, minSupport, procs)
-}
-
-// MineCCPDCtx is MineCCPD with cooperative cancellation: on ctx
-// cancellation the completed iterations are returned together with a
-// *robust.CanceledError naming the interrupted phase.
-func MineCCPDCtx(ctx context.Context, d *Database, opts ParallelOptions) (*Result, *ParallelStats, error) {
-	return ccpd.MineCtx(ctx, d, opts)
-}
-
-// MinePCCDCtx is MinePCCD with cooperative cancellation.
-func MinePCCDCtx(ctx context.Context, d *Database, opts ParallelOptions) (*Result, *ParallelStats, error) {
-	return ccpd.MinePCCDCtx(ctx, d, opts)
-}
-
-// ResumeCCPD continues a checkpointed CCPD run (ParallelOptions.Checkpoint)
-// bit-identically from its last completed iteration. The options must match
-// the checkpointed run except MaxK, which may grow.
-func ResumeCCPD(ctx context.Context, checkpointPath string, d *Database, opts ParallelOptions) (*Result, *ParallelStats, error) {
-	return ccpd.Resume(ctx, checkpointPath, d, opts)
 }
 
 // WorkerPanicError reports a panic contained in a pool worker: the mining
@@ -294,69 +272,11 @@ func MineQuantitative(t *QuantTable, opts QuantOptions) (*QuantResult, error) {
 	return quant.Mine(t, opts)
 }
 
-// --- Related algorithms from the paper's Section 7 discussion. ---
-
-// EclatOptions configures vertical (tid-list intersection) mining.
-type EclatOptions = eclat.Options
-
-// MineEclat mines with the authors' follow-up vertical algorithm; results
-// are identical to Apriori with a different cost structure (pure
-// intersections, no hash tree, no rescans).
-func MineEclat(d *Database, opts EclatOptions) (*Result, error) { return eclat.Mine(d, opts) }
-
-// MineEclatCtx is MineEclat with cooperative cancellation, observed at
-// equivalence-class granularity; completed classes are returned as a
-// partial result together with a *CanceledError.
-func MineEclatCtx(ctx context.Context, d *Database, opts EclatOptions) (*Result, error) {
-	return eclat.MineCtx(ctx, d, opts)
-}
-
-// VBitOptions configures the word-parallel vertical bitmap engine.
-type VBitOptions = vbit.Options
-
-// VBitStats carries the vertical engine's deterministic work model and
-// wall-clock timings.
-type VBitStats = vbit.Stats
-
-// MineVBit runs the word-parallel dEclat engine: per-item TID bitmaps with
-// tidlist fallback for sparse items, popcount support kernels, diffsets
-// below the first level, and per-equivalence-class tasks on the shared
-// worker pool. Results are identical to Apriori in ordering and supports.
-func MineVBit(d *Database, opts VBitOptions) (*Result, *VBitStats, error) {
-	return vbit.Mine(d, opts)
-}
-
-// MineVBitCtx is MineVBit with cooperative cancellation (per class claim);
-// completed classes are merged into the partial result returned alongside
-// the *CanceledError.
-func MineVBitCtx(ctx context.Context, d *Database, opts VBitOptions) (*Result, *VBitStats, error) {
-	return vbit.MineCtx(ctx, d, opts)
-}
-
-// Engine identifies a counting engine for the auto-selector.
-type Engine = vbit.Engine
-
-// Engines the auto-selector chooses between.
-const (
-	EngineCCPD = vbit.EngineCCPD
-	EngineVBit = vbit.EngineVBit
-)
-
-// DBStats are the database statistics the engine selector decides on.
-type DBStats = vbit.DBStats
-
-// CharacterizeDB computes selector statistics for a database in O(1).
-func CharacterizeDB(d *Database) DBStats { return vbit.Characterize(d) }
-
-// SelectEngine picks the hash-tree (CCPD) or vertical bitmap (vbit) engine
-// from database statistics — the -algo auto policy.
-func SelectEngine(s DBStats) Engine { return vbit.AutoSelect(s) }
-
 // --- Unified engine interface and the cost-based planner. ---
 
 // Miner is the unified engine interface: every mining engine — sequential
-// Apriori, CCPD, PCCD, eclat, the vertical bitmap engine and the sampling
-// evaluation — dispatches through it with one engine-independent Spec.
+// Apriori, CCPD, PCCD, eclat and the vertical bitmap engine — dispatches
+// through it with one engine-independent Spec.
 type Miner = engine.Miner
 
 // SegmentedMiner is a Miner with an out-of-core path over segmented stores.
@@ -365,8 +285,8 @@ type SegmentedMiner = engine.SegmentedMiner
 // Resumer is a Miner that can continue a checkpointed run.
 type Resumer = engine.Resumer
 
-// EngineCaps are a Miner's capability flags (parallel, cancellation,
-// checkpoint/resume, segmented, exact).
+// EngineCaps are a Miner's capability flags (whether it records into the
+// Spec's observability recorder).
 type EngineCaps = engine.Caps
 
 // EngineSpec is the engine-independent mining request a Miner lowers onto
@@ -452,43 +372,6 @@ func WriteSegmented(path string, d *Database, opts SegWriterOptions) error {
 // whole-database .ardb format).
 func IsSegmented(path string) (bool, error) { return seg.IsSegmented(path) }
 
-// SegmentedOptions configures an out-of-core CCPD run: mining options plus
-// the resident-segment byte budget (0 = double-buffered prefetch).
-type SegmentedOptions = ccpd.SegmentedOptions
-
-// MineCCPDSegmented mines a segmented store without materializing the whole
-// database: segments stream through a double-buffered prefetch pipeline
-// while the hash-tree kernels count them. Frequent sets and the
-// deterministic work model are bit-identical to the in-RAM run.
-func MineCCPDSegmented(r *SegReader, opts SegmentedOptions) (*Result, *ParallelStats, error) {
-	return ccpd.MineSegmented(r, opts)
-}
-
-// MineCCPDSegmentedCtx is MineCCPDSegmented with cooperative cancellation.
-func MineCCPDSegmentedCtx(ctx context.Context, r *SegReader, opts SegmentedOptions) (*Result, *ParallelStats, error) {
-	return ccpd.MineSegmentedCtx(ctx, r, opts)
-}
-
-// VBitSegmentedOptions configures an out-of-core vertical run.
-type VBitSegmentedOptions = vbit.SegmentedOptions
-
-// VBitSegmentedStats summarizes an out-of-core vertical run (per-level
-// figures plus pipeline accounting).
-type VBitSegmentedStats = vbit.SegmentedStats
-
-// MineVBitSegmented mines a segmented store with the vertical engine,
-// level-wise: per level each segment materializes as a small vertical
-// layout and candidate supports accumulate across segments through the
-// word-parallel popcount kernels.
-func MineVBitSegmented(r *SegReader, opts VBitSegmentedOptions) (*Result, *VBitSegmentedStats, error) {
-	return vbit.MineSegmented(r, opts)
-}
-
-// MineVBitSegmentedCtx is MineVBitSegmented with cooperative cancellation.
-func MineVBitSegmentedCtx(ctx context.Context, r *SegReader, opts VBitSegmentedOptions) (*Result, *VBitSegmentedStats, error) {
-	return vbit.MineSegmentedCtx(ctx, r, opts)
-}
-
 // SamplingOptions configures a sample-vs-full mining evaluation.
 type SamplingOptions = sampling.Options
 
@@ -499,11 +382,4 @@ type SamplingAccuracy = sampling.Accuracy
 // full database (the companion sampling study).
 func EvaluateSampling(d *Database, opts SamplingOptions) (SamplingAccuracy, *Result, error) {
 	return sampling.Evaluate(d, opts)
-}
-
-// GenerateRulesFast derives the same rules as GenerateRules via the
-// ap-genrules consequent-growth algorithm (faster on itemsets with many
-// subsets).
-func GenerateRulesFast(res *Result, opts RuleOptions) []Rule {
-	return rules.GenerateFast(res, opts)
 }

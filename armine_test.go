@@ -1,6 +1,7 @@
 package armine
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 )
@@ -39,8 +40,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if stats.Total <= 0 {
 		t.Error("no parallel timing")
 	}
-	pccd, _, err := MinePCCD(loaded, ParallelOptions{
-		Options: MiningOptions{MinSupport: 0.01}, Procs: 2,
+	pccd, _, err := DispatchEngine(context.Background(), "pccd", loaded, nil, EngineSpec{
+		Mining: MiningOptions{MinSupport: 0.01}, Procs: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +126,9 @@ func TestExtensionAPIs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eRes, err := MineEclat(d, EclatOptions{MinSupport: 0.05, Procs: 2})
+	eRes, _, err := DispatchEngine(context.Background(), "eclat", d, nil, EngineSpec{
+		Mining: MiningOptions{MinSupport: 0.05}, Procs: 2,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,14 +136,14 @@ func TestExtensionAPIs(t *testing.T) {
 		t.Errorf("eclat %d vs apriori %d", eRes.NumFrequent(), aRes.NumFrequent())
 	}
 
-	// Maximal extraction + fast rules.
+	// Maximal extraction + rules over both engines' results.
 	if len(aRes.Maximal()) == 0 && aRes.NumFrequent() > 0 {
 		t.Error("no maximal itemsets")
 	}
-	slow := GenerateRules(aRes, RuleOptions{MinConfidence: 0.5})
-	fast := GenerateRulesFast(aRes, RuleOptions{MinConfidence: 0.5})
-	if len(slow) != len(fast) {
-		t.Errorf("rule counts differ: %d vs %d", len(slow), len(fast))
+	aRules := GenerateRules(aRes, RuleOptions{MinConfidence: 0.5})
+	eRules := GenerateRules(eRes, RuleOptions{MinConfidence: 0.5})
+	if len(aRules) != len(eRules) {
+		t.Errorf("rule counts differ: apriori %d vs eclat %d", len(aRules), len(eRules))
 	}
 
 	// Sampling evaluation.

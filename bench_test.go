@@ -6,6 +6,7 @@
 package armine
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -163,7 +164,7 @@ func BenchmarkAblationCounters(b *testing.B) {
 	} {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, _, err := ccpd.Mine(d, ccpd.Options{
+				_, _, err := ccpd.Mine(context.Background(), d, ccpd.Options{
 					Options: apriori.Options{AbsSupport: 10, ShortCircuit: true},
 					Procs:   4, Counter: mode,
 				})
@@ -250,7 +251,7 @@ func BenchmarkAblationDBPartition(b *testing.B) {
 	for _, part := range []ccpd.DBPartition{ccpd.PartitionBlock, ccpd.PartitionWorkload} {
 		b.Run(part.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, _, err := ccpd.Mine(d, ccpd.Options{
+				_, _, err := ccpd.Mine(context.Background(), d, ccpd.Options{
 					Options: apriori.Options{AbsSupport: 10, ShortCircuit: true},
 					Procs:   4, DBPart: part,
 				})
@@ -521,14 +522,14 @@ func BenchmarkBaselines(b *testing.B) {
 	})
 	b.Run("eclat", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eclat.Mine(d, eclat.Options{AbsSupport: 10, Procs: 4}); err != nil {
+			if _, err := eclat.Mine(context.Background(), d, eclat.Options{AbsSupport: 10, Procs: 4}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("vbit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := vbit.Mine(d, vbit.Options{AbsSupport: 10, Procs: 4}); err != nil {
+			if _, _, err := vbit.Mine(context.Background(), d, vbit.Options{AbsSupport: 10, Procs: 4}); err != nil {
 				b.Fatal(err)
 			}
 		}

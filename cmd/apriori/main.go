@@ -1,8 +1,8 @@
 // Command apriori mines association rules from a database file (or a
 // freshly generated synthetic database) through the unified engine registry:
-// the sequential algorithm, the parallel CCPD/PCCD algorithms, the vertical
-// engines (eclat, vbit) and the sampling evaluation all dispatch through
-// engine.Miner, with every optimization switchable from the command line.
+// the sequential algorithm, the parallel CCPD/PCCD algorithms and the
+// vertical engines (eclat, vbit) all dispatch through engine.Miner, with
+// every optimization switchable from the command line.
 // -algo auto hands the choice to the cost-based planner, which picks engine,
 // counting partition and chunk size from the database's statistics (density,
 // skew, size) and the -mem-budget.
@@ -80,8 +80,8 @@ type cliOptions struct {
 	RuleConf   float64 // -rules
 	TopN       int     // -top
 	Verbose    bool    // -v
-	TracePath  string  // -trace: Chrome trace JSON output (parallel engines)
-	MetricsTo  string  // -metrics: Prometheus-text snapshot output (parallel engines)
+	TracePath  string  // -trace: Chrome trace JSON output (traced engines)
+	MetricsTo  string  // -metrics: Prometheus-text snapshot output (traced engines)
 	MemBudget  string  // -mem-budget: resident-segment byte cap for segmented stores (e.g. 512M)
 	MMap       bool    // -mmap: serve segmented stores from a memory mapping
 }
@@ -154,7 +154,7 @@ func main() {
 	flag.StringVar(&o.DBPath, "db", "", "database file (binary format)")
 	flag.StringVar(&o.GenSpec, "gen", "", "generate a synthetic database, e.g. T10.I4.D10K")
 	flag.Float64Var(&o.Support, "support", 0.005, "minimum support fraction")
-	flag.StringVar(&o.Algo, "algo", "ccpd", "algorithm: seq | ccpd | pccd | eclat | vbit | sampling | dhp | partition | countdist | auto (planner)")
+	flag.StringVar(&o.Algo, "algo", "ccpd", "algorithm: seq | ccpd | pccd | eclat | vbit | dhp | partition | countdist | auto (planner)")
 	flag.IntVar(&o.Procs, "procs", 4, "processors (parallel algorithms)")
 	flag.StringVar(&o.Balance, "balance", "bitonic", "computation balancing: block | interleaved | bitonic")
 	flag.StringVar(&o.Hash, "hash", "bitonic", "hash tree balancing: interleaved | bitonic")
@@ -171,8 +171,8 @@ func main() {
 	flag.Float64Var(&o.RuleConf, "rules", 0, "generate rules at this min confidence (0 = skip)")
 	flag.IntVar(&o.TopN, "top", 10, "rules to print")
 	flag.BoolVar(&o.Verbose, "v", false, "per-iteration details")
-	flag.StringVar(&o.TracePath, "trace", "", "write a Chrome trace_event JSON timeline here (parallel engines)")
-	flag.StringVar(&o.MetricsTo, "metrics", "", "write a Prometheus-text metrics snapshot here (parallel engines)")
+	flag.StringVar(&o.TracePath, "trace", "", "write a Chrome trace_event JSON timeline here (ccpd, pccd, vbit)")
+	flag.StringVar(&o.MetricsTo, "metrics", "", "write a Prometheus-text metrics snapshot here (ccpd, pccd, vbit)")
 	flag.StringVar(&o.MemBudget, "mem-budget", "", "out-of-core residency budget for segmented -db stores, e.g. 512M (default: double-buffered)")
 	flag.BoolVar(&o.MMap, "mmap", false, "serve a segmented -db store from a memory mapping instead of read-at I/O")
 	flag.Parse()
@@ -301,7 +301,7 @@ func run(o cliOptions) error {
 			return usagef("%s is a baseline without an out-of-core path; segmented stores mine with %v", algo, engine.SegmentedNames())
 		}
 		if o.TracePath != "" || o.MetricsTo != "" {
-			return fmt.Errorf("-trace/-metrics require a parallel engine (got %q)", algo)
+			return fmt.Errorf("-trace/-metrics require a traced engine (got %q)", algo)
 		}
 		res, err := runBaseline(algo, d, spec.Mining, o)
 		if err != nil {
@@ -314,11 +314,10 @@ func run(o cliOptions) error {
 	if !ok {
 		return fmt.Errorf("unknown -algo %q", o.Algo)
 	}
-	caps := m.Caps()
 	var rec *obs.Recorder
 	if o.TracePath != "" || o.MetricsTo != "" {
-		if !caps.Parallel {
-			return fmt.Errorf("-trace/-metrics require a parallel engine: one of ccpd, pccd, vbit or auto (got %q)", algo)
+		if !m.Caps().Obs {
+			return fmt.Errorf("-trace/-metrics require a traced engine: one of ccpd, pccd, vbit or auto (got %q)", algo)
 		}
 		rec = obs.NewRecorder(o.Procs)
 		spec.Obs = rec
@@ -480,12 +479,6 @@ func printStats(st *engine.Stats, verbose bool) {
 				}
 			}
 		}
-	case st.Sampling != nil:
-		acc := st.Sampling
-		fmt.Printf("total time: %v\n", st.Total)
-		fmt.Printf("sampling: %d rows sampled, precision %.3f recall %.3f (TP %d FP %d FN %d)\n",
-			acc.SampleSize, acc.Precision(), acc.Recall(),
-			acc.TruePositives, acc.FalsePositives, acc.FalseNegatives)
 	case st.Total > 0:
 		fmt.Printf("total time: %v\n", st.Total)
 	}

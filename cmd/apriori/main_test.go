@@ -354,12 +354,16 @@ func TestRunTraceAndMetrics(t *testing.T) {
 		}
 	}
 
-	// Tracing a non-parallel algorithm is a usage error.
-	o = base()
-	o.Algo = "seq"
-	o.TracePath = tracePath
-	if err := run(o); err == nil {
-		t.Error("-trace with -algo seq should fail")
+	// Tracing an engine that does not record into the recorder is a usage
+	// error: seq is sequential, and eclat ignores the recorder, so its trace
+	// would hold only metadata.
+	for _, algo := range []string{"seq", "eclat"} {
+		o = base()
+		o.Algo = algo
+		o.TracePath = tracePath
+		if err := run(o); err == nil {
+			t.Errorf("-trace with -algo %s should fail", algo)
+		}
 	}
 }
 
@@ -407,7 +411,7 @@ func TestRunTraceVBit(t *testing.T) {
 	if !strings.Contains(string(metrics), "armine_frequent{k=") {
 		t.Error("-metrics output missing armine_frequent series")
 	}
-	// -algo auto resolves to a parallel engine, so tracing it is legal.
+	// -algo auto resolves to a traced engine, so tracing it is legal.
 	o = base()
 	o.Algo = "auto"
 	o.TracePath = filepath.Join(dir, "trace2.json")

@@ -71,7 +71,7 @@ func main() {
 
 // runServer runs the daemon until SIGINT/SIGTERM, then shuts down
 // gracefully: stop accepting connections, drain in-flight queries, cancel
-// the re-mine loop (a mine in flight stops cooperatively via MineCtx), and
+// the re-mine loop (a mine in flight stops cooperatively via Mine), and
 // exit 0.
 func runServer(cfg serve.Config, addr string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)

@@ -35,6 +35,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -389,7 +390,7 @@ func runPlannerRows(rep *report, dsize int) error {
 					return fmt.Errorf("engine %q not registered", name)
 				}
 				t0 := time.Now()
-				if _, _, err := m.Mine(d, spec); err != nil {
+				if _, _, err := m.Mine(context.Background(), d, spec); err != nil {
 					return fmt.Errorf("%s on %s: %w", name, wl.label, err)
 				}
 				if w := time.Since(t0).Nanoseconds(); try == 0 || w < walls[name] {
@@ -464,7 +465,7 @@ func runOutOfCore(rep *report, dsize int) error {
 		var pipe *seg.PipelineStats
 		for try := 0; try < 3; try++ { // min of 3, like the kernel rows
 			t0 := time.Now()
-			_, st, err := ccpd.MineSegmented(r, ccpd.SegmentedOptions{
+			_, st, err := ccpd.MineSegmented(context.Background(), r, ccpd.SegmentedOptions{
 				Options: opts, MemBudget: budget, LoadDelay: delay,
 			})
 			w := time.Since(t0).Nanoseconds()
@@ -748,7 +749,7 @@ func runScaling(out string, dsize int) error {
 					Balance: ccpd.BalanceBitonic,
 					DBPart:  part, ChunkSize: chunk,
 				}
-				_, st, err := ccpd.Mine(d, opts)
+				_, st, err := ccpd.Mine(context.Background(), d, opts)
 				if err != nil {
 					return err
 				}

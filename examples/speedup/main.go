@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,7 +23,7 @@ func mineModel(d *armine.Database, procs int, comp, tree, sc bool) int64 {
 	if tree {
 		opts.Hash = armine.HashBitonic
 	}
-	_, stats, err := armine.MineCCPD(d, opts)
+	_, stats, err := armine.MineCCPD(context.Background(), d, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 // counter update modes of Section 5.2 are all selectable.
 //
 // The package also carries the robustness layer of the production story:
-// cooperative cancellation (MineCtx), worker panic containment (a panic in
+// cooperative cancellation (Mine takes a context), worker panic containment (a panic in
 // any phase surfaces as a *robust.WorkerPanicError instead of killing the
 // process), per-iteration checkpointing with bit-identical resume (Resume),
 // and memory-budget candidate batching (Options.MaxCandidatesInMemory) for
@@ -325,7 +325,7 @@ func (s *Stats) TotalSteals() int64 {
 	return t
 }
 
-// miner is the per-run state shared by MineCtx, MineSegmented and Resume:
+// miner is the per-run state shared by Mine, MineSegmented and Resume:
 // the data source (in-RAM database or segmented store), resolved options,
 // persistent pool, recorder, and the result/stats being accumulated.
 type miner struct {
@@ -388,21 +388,15 @@ func annotate(err error, phase string, k int) error {
 }
 
 // Mine runs CCPD on the database and returns the frequent itemsets plus
-// per-phase timings. It is MineCtx without cancellation.
-func Mine(d *db.Database, opts Options) (*apriori.Result, *Stats, error) {
-	return MineCtx(context.Background(), d, opts)
-}
-
-// MineCtx runs CCPD under a context. Cancellation is cooperative: workers
-// observe it at chunk boundaries (dynamic modes) or every ChunkSize
-// transactions (static modes), the current phase drains promptly, and the
-// call returns the partial result — every iteration completed before the
+// per-phase timings. Cancellation is cooperative: workers observe ctx at
+// chunk boundaries (dynamic modes) or every ChunkSize transactions (static
+// modes), the current phase drains promptly, and the call returns the partial result — every iteration completed before the
 // cancellation point — together with a *robust.CanceledError naming the
 // interrupted phase. A worker panic in any phase is contained by the pool
 // and returned as a *robust.WorkerPanicError; the process stays alive.
 //
 //armlint:cancellable
-func MineCtx(ctx context.Context, d *db.Database, opts Options) (*apriori.Result, *Stats, error) {
+func Mine(ctx context.Context, d *db.Database, opts Options) (*apriori.Result, *Stats, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
 	m, cleanup := newMiner(d, opts)

@@ -1,6 +1,7 @@
 package ccpd
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/apriori"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/hashtree"
 	"repro/internal/itemset"
+	"repro/internal/oracle"
 )
 
 func testDB(t *testing.T) *db.Database {
@@ -17,29 +19,6 @@ func testDB(t *testing.T) *db.Database {
 		t.Fatal(err)
 	}
 	return d
-}
-
-// resultKey flattens a result into a comparable map.
-func resultKey(res *apriori.Result) map[string]int64 {
-	out := map[string]int64{}
-	for _, f := range res.All() {
-		out[f.Items.Key()] = f.Count
-	}
-	return out
-}
-
-func assertSameResult(t *testing.T, label string, got, want *apriori.Result) {
-	t.Helper()
-	g, w := resultKey(got), resultKey(want)
-	if len(g) != len(w) {
-		t.Fatalf("%s: %d frequent itemsets, want %d", label, len(g), len(w))
-	}
-	for k, c := range w {
-		if g[k] != c {
-			s, _ := itemset.ParseKey(k)
-			t.Fatalf("%s: support of %v = %d, want %d", label, s, g[k], c)
-		}
-	}
 }
 
 func TestCCPDMatchesSequential(t *testing.T) {
@@ -54,11 +33,11 @@ func TestCCPDMatchesSequential(t *testing.T) {
 				Options: apriori.Options{MinSupport: 0.01, ShortCircuit: true},
 				Procs:   procs, Counter: mode, Balance: BalanceBitonic,
 			}
-			res, stats, err := Mine(d, opts)
+			res, stats, err := Mine(context.Background(), d, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameResult(t, mode.String(), res, seqRes)
+			oracle.SameResult(t, mode.String(), res, seqRes)
 			if stats.Procs != procs || len(stats.PerIter) == 0 {
 				t.Errorf("stats malformed: %+v", stats)
 			}
@@ -70,7 +49,7 @@ func TestCCPDBalanceSchemes(t *testing.T) {
 	d := testDB(t)
 	seqRes, _ := apriori.Mine(d, apriori.Options{MinSupport: 0.01})
 	for _, b := range []BalanceScheme{BalanceBlock, BalanceInterleaved, BalanceBitonic} {
-		res, _, err := Mine(d, Options{
+		res, _, err := Mine(context.Background(), d, Options{
 			Options: apriori.Options{MinSupport: 0.01},
 			Procs:   4, Balance: b,
 			AdaptiveMinUnits: 1, // force parallel generation
@@ -78,7 +57,7 @@ func TestCCPDBalanceSchemes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameResult(t, b.String(), res, seqRes)
+		oracle.SameResult(t, b.String(), res, seqRes)
 	}
 }
 
@@ -86,14 +65,14 @@ func TestCCPDDBPartitionModes(t *testing.T) {
 	d := testDB(t)
 	seqRes, _ := apriori.Mine(d, apriori.Options{MinSupport: 0.01})
 	for _, p := range []DBPartition{PartitionBlock, PartitionWorkload} {
-		res, _, err := Mine(d, Options{
+		res, _, err := Mine(context.Background(), d, Options{
 			Options: apriori.Options{MinSupport: 0.01},
 			Procs:   4, DBPart: p,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameResult(t, p.String(), res, seqRes)
+		oracle.SameResult(t, p.String(), res, seqRes)
 	}
 }
 
@@ -102,14 +81,14 @@ func TestCCPDTreeBalancingVariants(t *testing.T) {
 	seqRes, _ := apriori.Mine(d, apriori.Options{MinSupport: 0.01})
 	for _, h := range []hashtree.HashKind{hashtree.HashInterleaved, hashtree.HashBitonic} {
 		for _, sc := range []bool{false, true} {
-			res, _, err := Mine(d, Options{
+			res, _, err := Mine(context.Background(), d, Options{
 				Options: apriori.Options{MinSupport: 0.01, Hash: h, ShortCircuit: sc},
 				Procs:   3,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameResult(t, h.String(), res, seqRes)
+			oracle.SameResult(t, h.String(), res, seqRes)
 		}
 	}
 }
@@ -118,14 +97,14 @@ func TestPCCDMatchesSequential(t *testing.T) {
 	d := testDB(t)
 	seqRes, _ := apriori.Mine(d, apriori.Options{MinSupport: 0.01})
 	for _, procs := range []int{1, 3, 4} {
-		res, stats, err := MinePCCD(d, Options{
+		res, stats, err := MinePCCD(context.Background(), d, Options{
 			Options: apriori.Options{MinSupport: 0.01},
 			Procs:   procs,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameResult(t, "pccd", res, seqRes)
+		oracle.SameResult(t, "pccd", res, seqRes)
 		if len(stats.PerIter) == 0 {
 			t.Error("missing timings")
 		}
@@ -135,7 +114,7 @@ func TestPCCDMatchesSequential(t *testing.T) {
 func TestAdaptiveParallelism(t *testing.T) {
 	d := testDB(t)
 	// Huge cutoff: generation must go sequential every iteration.
-	_, stats, err := Mine(d, Options{
+	_, stats, err := Mine(context.Background(), d, Options{
 		Options:          apriori.Options{MinSupport: 0.01},
 		Procs:            4,
 		AdaptiveMinUnits: 1 << 30,
@@ -149,7 +128,7 @@ func TestAdaptiveParallelism(t *testing.T) {
 		}
 	}
 	// Cutoff 1: generation parallel whenever there are units.
-	_, stats, err = Mine(d, Options{
+	_, stats, err = Mine(context.Background(), d, Options{
 		Options:          apriori.Options{MinSupport: 0.01},
 		Procs:            4,
 		AdaptiveMinUnits: 1,
@@ -179,7 +158,7 @@ func TestScanBytes(t *testing.T) {
 
 func TestStatsTotalCount(t *testing.T) {
 	d := testDB(t)
-	_, stats, err := Mine(d, Options{Options: apriori.Options{MinSupport: 0.01}, Procs: 2})
+	_, stats, err := Mine(context.Background(), d, Options{Options: apriori.Options{MinSupport: 0.01}, Procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,14 +181,14 @@ func TestSchemeStrings(t *testing.T) {
 
 func TestEmptyDatabaseParallel(t *testing.T) {
 	d := db.New(5)
-	res, _, err := Mine(d, Options{Options: apriori.Options{MinSupport: 0.5}, Procs: 4})
+	res, _, err := Mine(context.Background(), d, Options{Options: apriori.Options{MinSupport: 0.5}, Procs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.NumFrequent() != 0 {
 		t.Errorf("empty db mined %d itemsets", res.NumFrequent())
 	}
-	res, _, err = MinePCCD(d, Options{Options: apriori.Options{MinSupport: 0.5}, Procs: 4})
+	res, _, err = MinePCCD(context.Background(), d, Options{Options: apriori.Options{MinSupport: 0.5}, Procs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +201,7 @@ func TestMoreProcsThanRows(t *testing.T) {
 	d := db.New(6)
 	d.Append(1, itemset.New(1, 2, 3))
 	d.Append(2, itemset.New(1, 2, 3))
-	res, _, err := Mine(d, Options{Options: apriori.Options{AbsSupport: 2}, Procs: 16})
+	res, _, err := Mine(context.Background(), d, Options{Options: apriori.Options{AbsSupport: 2}, Procs: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

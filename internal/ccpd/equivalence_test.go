@@ -1,6 +1,7 @@
 package ccpd
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/apriori"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/eclat"
 	"repro/internal/gen"
 	"repro/internal/itemset"
+	"repro/internal/oracle"
 	"repro/internal/vbit"
 )
 
@@ -32,30 +34,30 @@ func TestCrossAlgorithmEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, mode := range []DBPartition{PartitionBlock, PartitionWorkload, PartitionDynamic, PartitionStealing} {
-				res, _, err := Mine(d, Options{
+				res, _, err := Mine(context.Background(), d, Options{
 					Options: apriori.Options{MinSupport: sup, ShortCircuit: true},
 					Procs:   4, Balance: BalanceBitonic, DBPart: mode, ChunkSize: 32,
 				})
 				if err != nil {
 					t.Fatalf("seed %d sup %g ccpd/%s: %v", seed, sup, mode, err)
 				}
-				assertSameResult(t, mode.String(), res, want)
+				oracle.SameResult(t, mode.String(), res, want)
 				if res.MinCount != want.MinCount {
 					t.Errorf("seed %d sup %g ccpd/%s: MinCount %d != %d", seed, sup, mode, res.MinCount, want.MinCount)
 				}
 			}
-			pres, _, err := MinePCCD(d, Options{
+			pres, _, err := MinePCCD(context.Background(), d, Options{
 				Options: apriori.Options{MinSupport: sup, ShortCircuit: true}, Procs: 3,
 			})
 			if err != nil {
 				t.Fatalf("seed %d sup %g pccd: %v", seed, sup, err)
 			}
-			assertSameResult(t, "pccd", pres, want)
-			eres, err := eclat.Mine(d, eclat.Options{MinSupport: sup, Procs: 2})
+			oracle.SameResult(t, "pccd", pres, want)
+			eres, err := eclat.Mine(context.Background(), d, eclat.Options{MinSupport: sup, Procs: 2})
 			if err != nil {
 				t.Fatalf("seed %d sup %g eclat: %v", seed, sup, err)
 			}
-			assertSameResult(t, "eclat", eres, want)
+			oracle.SameResult(t, "eclat", eres, want)
 			if eres.MinCount != want.MinCount {
 				t.Errorf("seed %d sup %g eclat: MinCount %d != %d", seed, sup, eres.MinCount, want.MinCount)
 			}
@@ -65,11 +67,11 @@ func TestCrossAlgorithmEquivalence(t *testing.T) {
 			for name, cutoff := range map[string]float64{
 				"vbit": 0, "vbit-dense": 1e-9, "vbit-sparse": 1.5,
 			} {
-				vres, _, err := vbit.Mine(d, vbit.Options{MinSupport: sup, Procs: 3, DensityCutoff: cutoff})
+				vres, _, err := vbit.Mine(context.Background(), d, vbit.Options{MinSupport: sup, Procs: 3, DensityCutoff: cutoff})
 				if err != nil {
 					t.Fatalf("seed %d sup %g %s: %v", seed, sup, name, err)
 				}
-				assertSameResult(t, name, vres, want)
+				oracle.SameResult(t, name, vres, want)
 				if vres.MinCount != want.MinCount {
 					t.Errorf("seed %d sup %g %s: MinCount %d != %d", seed, sup, name, vres.MinCount, want.MinCount)
 				}
@@ -107,7 +109,7 @@ func exactThresholdDB(t *testing.T) *db.Database {
 func TestFractionalSupportBoundaryParallel(t *testing.T) {
 	d := exactThresholdDB(t)
 	for _, mode := range []DBPartition{PartitionBlock, PartitionDynamic} {
-		res, _, err := Mine(d, Options{
+		res, _, err := Mine(context.Background(), d, Options{
 			Options: apriori.Options{MinSupport: 0.01, ShortCircuit: true},
 			Procs:   4, DBPart: mode,
 		})

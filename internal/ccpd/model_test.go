@@ -1,6 +1,7 @@
 package ccpd
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -52,7 +53,7 @@ func TestModelTimeDecreasesWithProcs(t *testing.T) {
 	d := testDB(t)
 	var prev int64
 	for i, procs := range []int{1, 2, 4, 8} {
-		_, st, err := Mine(d, Options{
+		_, st, err := Mine(context.Background(), d, Options{
 			Options: optsFor(0.01), Procs: procs,
 			Balance: BalanceBitonic, AdaptiveMinUnits: 1,
 		})
@@ -92,7 +93,7 @@ func TestModelTimePinned(t *testing.T) {
 	}
 	for part, byProcs := range want {
 		for _, procs := range []int{1, 4} {
-			_, st, err := Mine(d, Options{
+			_, st, err := Mine(context.Background(), d, Options{
 				Options: apriori.Options{AbsSupport: 10, ShortCircuit: true},
 				Procs:   procs, Balance: BalanceBitonic, AdaptiveMinUnits: 1,
 				DBPart: part,
@@ -137,7 +138,7 @@ func TestIterOneCountWorkConserved(t *testing.T) {
 
 func TestTotalTimePositive(t *testing.T) {
 	d := testDB(t)
-	_, st, err := Mine(d, Options{Options: optsFor(0.02), Procs: 2})
+	_, st, err := Mine(context.Background(), d, Options{Options: optsFor(0.02), Procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package ccpd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/apriori"
 	"repro/internal/hashtree"
 	"repro/internal/obs"
+	"repro/internal/oracle"
 )
 
 // TestObsEquivalence is the observer-effect gate: mining with a recorder
@@ -23,17 +25,17 @@ func TestObsEquivalence(t *testing.T) {
 			Procs:   4, Counter: hashtree.CounterAtomic,
 			Balance: BalanceBitonic, DBPart: part, ChunkSize: 16,
 		}
-		plainRes, plainStats, err := Mine(d, base)
+		plainRes, plainStats, err := Mine(context.Background(), d, base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		obsOpts := base
 		obsOpts.Obs = obs.NewRecorder(base.Procs)
-		obsRes, obsStats, err := Mine(d, obsOpts)
+		obsRes, obsStats, err := Mine(context.Background(), d, obsOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameResult(t, part.String()+"/obs", obsRes, plainRes)
+		oracle.SameResult(t, part.String()+"/obs", obsRes, plainRes)
 		if g, w := obsStats.ModelTime(), plainStats.ModelTime(); g != w {
 			t.Errorf("%s: ModelTime with obs = %d, without = %d", part, g, w)
 		}
@@ -60,7 +62,7 @@ func TestObsConcurrentRecording(t *testing.T) {
 	rec := obs.NewRecorder(4)
 	for run := 0; run < 3; run++ {
 		rec.Reset()
-		_, _, err := Mine(d, Options{
+		_, _, err := Mine(context.Background(), d, Options{
 			Options: apriori.Options{MinSupport: 0.01, ShortCircuit: true},
 			Procs:   4, Counter: hashtree.CounterAtomic,
 			Balance: BalanceBitonic, DBPart: PartitionStealing, ChunkSize: 8,
@@ -86,7 +88,7 @@ func TestTraceMatchesStats(t *testing.T) {
 	d := testDB(t)
 	const procs = 4
 	rec := obs.NewRecorder(procs)
-	_, stats, err := Mine(d, Options{
+	_, stats, err := Mine(context.Background(), d, Options{
 		Options: apriori.Options{MinSupport: 0.01, ShortCircuit: true},
 		Procs:   procs, Counter: hashtree.CounterAtomic,
 		Balance: BalanceBitonic, DBPart: PartitionStealing, ChunkSize: 16,

@@ -33,18 +33,14 @@ type SegmentedOptions struct {
 // bit-identical to an in-RAM Mine over the same data and options: each
 // worker (static block) or chunk (dynamic modes) covers exactly the same
 // global transaction ranges, merely delivered a segment at a time.
-func MineSegmented(r *seg.Reader, opts SegmentedOptions) (*apriori.Result, *Stats, error) {
-	return MineSegmentedCtx(context.Background(), r, opts)
-}
-
-// MineSegmentedCtx is MineSegmented under a context; cancellation behaves
-// exactly like MineCtx. Stats.OutOfCore carries the pipeline accounting.
+// Cancellation behaves exactly like Mine. Stats.OutOfCore carries the
+// pipeline accounting.
 //
 // PartitionWorkload is not supported (its boundary computation needs a full
 // extra database pass before any counting), and neither is checkpointing.
 //
 //armlint:cancellable
-func MineSegmentedCtx(ctx context.Context, r *seg.Reader, opts SegmentedOptions) (*apriori.Result, *Stats, error) {
+func MineSegmented(ctx context.Context, r *seg.Reader, opts SegmentedOptions) (*apriori.Result, *Stats, error) {
 	o := opts.Options.withDefaults()
 	if o.DBPart == PartitionWorkload {
 		return nil, nil, fmt.Errorf("ccpd: out-of-core mining supports block, dynamic and stealing partitions; workload needs a full up-front pass")

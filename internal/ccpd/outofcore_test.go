@@ -12,6 +12,7 @@ import (
 	"repro/internal/db"
 	"repro/internal/db/seg"
 	"repro/internal/gen"
+	"repro/internal/oracle"
 	"repro/internal/robust"
 )
 
@@ -52,17 +53,17 @@ func TestSegmentedMatchesInRAM(t *testing.T) {
 			Options: apriori.Options{MinSupport: 0.01, ShortCircuit: true},
 			Procs:   4, Balance: BalanceBitonic, DBPart: mode, ChunkSize: 64,
 		}
-		want, wantStats, err := Mine(d, opts)
+		want, wantStats, err := Mine(context.Background(), d, opts)
 		if err != nil {
 			t.Fatalf("%s in-RAM: %v", mode, err)
 		}
 		for _, budget := range []int64{1, 0} { // sync and double-buffered
-			res, stats, err := MineSegmented(r, SegmentedOptions{Options: opts, MemBudget: budget})
+			res, stats, err := MineSegmented(context.Background(), r, SegmentedOptions{Options: opts, MemBudget: budget})
 			if err != nil {
 				t.Fatalf("%s budget %d: %v", mode, budget, err)
 			}
 			label := mode.String()
-			assertSameResult(t, label, res, want)
+			oracle.SameResult(t, label, res, want)
 			if res.MinCount != want.MinCount {
 				t.Errorf("%s: MinCount %d != %d", label, res.MinCount, want.MinCount)
 			}
@@ -121,7 +122,7 @@ func TestSegmentedBeyondArenaLimit(t *testing.T) {
 		Procs:   4, Balance: BalanceBitonic, AdaptiveMinUnits: 1,
 		DBPart: PartitionBlock,
 	}
-	want, wantStats, err := Mine(d, opts)
+	want, wantStats, err := Mine(context.Background(), d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +139,11 @@ func TestSegmentedBeyondArenaLimit(t *testing.T) {
 	if r.NumSegments() < 5 {
 		t.Fatalf("want many segments under the lowered limit, got %d", r.NumSegments())
 	}
-	res, stats, err := MineSegmented(r, SegmentedOptions{Options: opts})
+	res, stats, err := MineSegmented(context.Background(), r, SegmentedOptions{Options: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResult(t, "beyond-arena", res, want)
+	oracle.SameResult(t, "beyond-arena", res, want)
 	// The pinned figure from TestModelTimePinned (PartitionBlock, procs=4):
 	// the out-of-core path must not move the work model.
 	const pinned = 3719619
@@ -171,15 +172,15 @@ func TestSegmentedMappedLoader(t *testing.T) {
 		Options: apriori.Options{MinSupport: 0.02, ShortCircuit: true},
 		Procs:   3, DBPart: PartitionDynamic, ChunkSize: 64,
 	}
-	want, _, err := Mine(d, opts)
+	want, _, err := Mine(context.Background(), d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := MineSegmented(r, SegmentedOptions{Options: opts})
+	res, _, err := MineSegmented(context.Background(), r, SegmentedOptions{Options: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResult(t, "mmap", res, want)
+	oracle.SameResult(t, "mmap", res, want)
 }
 
 func TestSegmentedRejectsUnsupported(t *testing.T) {
@@ -189,11 +190,11 @@ func TestSegmentedRejectsUnsupported(t *testing.T) {
 	}
 	r := segStore(t, d, seg.WriterOptions{})
 	base := apriori.Options{MinSupport: 0.05}
-	if _, _, err := MineSegmented(r, SegmentedOptions{Options: Options{Options: base, DBPart: PartitionWorkload}}); err == nil ||
+	if _, _, err := MineSegmented(context.Background(), r, SegmentedOptions{Options: Options{Options: base, DBPart: PartitionWorkload}}); err == nil ||
 		!strings.Contains(err.Error(), "workload") {
 		t.Errorf("workload partition: err = %v, want rejection", err)
 	}
-	if _, _, err := MineSegmented(r, SegmentedOptions{Options: Options{Options: base, Checkpoint: "x.ckpt"}}); err == nil ||
+	if _, _, err := MineSegmented(context.Background(), r, SegmentedOptions{Options: Options{Options: base, Checkpoint: "x.ckpt"}}); err == nil ||
 		!strings.Contains(err.Error(), "checkpoint") {
 		t.Errorf("checkpoint: err = %v, want rejection", err)
 	}
@@ -207,7 +208,7 @@ func TestSegmentedCancellation(t *testing.T) {
 	r := segStore(t, d, seg.WriterOptions{SegTx: 100})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before the first pass
-	_, _, err = MineSegmentedCtx(ctx, r, SegmentedOptions{Options: Options{
+	_, _, err = MineSegmented(ctx, r, SegmentedOptions{Options: Options{
 		Options: apriori.Options{MinSupport: 0.01, ShortCircuit: true}, Procs: 2,
 	}})
 	var ce *robust.CanceledError
@@ -221,7 +222,7 @@ func TestSegmentedCancellation(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		cancel2()
 	}()
-	res, _, err := MineSegmentedCtx(ctx2, r, SegmentedOptions{
+	res, _, err := MineSegmented(ctx2, r, SegmentedOptions{
 		Options: Options{
 			Options: apriori.Options{MinSupport: 0.005, ShortCircuit: true},
 			Procs:   2, DBPart: PartitionDynamic, ChunkSize: 16,

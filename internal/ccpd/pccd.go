@@ -14,13 +14,7 @@ import (
 	"repro/internal/sched"
 )
 
-// MinePCCD runs the Partitioned Candidate Common Database algorithm. It is
-// MinePCCDCtx without cancellation.
-func MinePCCD(d *db.Database, opts Options) (*apriori.Result, *Stats, error) {
-	return MinePCCDCtx(context.Background(), d, opts)
-}
-
-// MinePCCDCtx runs the Partitioned Candidate Common Database algorithm
+// MinePCCD runs the Partitioned Candidate Common Database algorithm
 // (Section 3.3): the candidate set of each iteration is split into
 // per-processor local hash trees, and every processor traverses the entire
 // database counting only its local tree. No locks or shared counters are
@@ -29,7 +23,7 @@ func MinePCCD(d *db.Database, opts Options) (*apriori.Result, *Stats, error) {
 // their I/O-bound system) and our harness reproduces the redundant-scan
 // cost structure.
 //
-// Cancellation and panic containment follow the MineCtx contract: workers
+// Cancellation and panic containment follow the Mine contract: workers
 // poll the context every ChunkSize transactions, the interrupted call
 // returns the completed iterations with a *robust.CanceledError, and a
 // worker panic surfaces as a *robust.WorkerPanicError. PCCD is the
@@ -37,7 +31,7 @@ func MinePCCD(d *db.Database, opts Options) (*apriori.Result, *Stats, error) {
 // candidate batching.
 //
 //armlint:cancellable
-func MinePCCDCtx(ctx context.Context, d *db.Database, opts Options) (*apriori.Result, *Stats, error) {
+func MinePCCD(ctx context.Context, d *db.Database, opts Options) (*apriori.Result, *Stats, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
 	minCount := opts.MinCount(d.Len())

@@ -87,7 +87,7 @@ func timingOf(s *ckpt.IterSnapshot) PhaseTiming {
 // MaxK-bounded run with a larger bound extends it. Resuming a run that
 // reached its fixpoint returns the reconstructed result immediately.
 //
-// Cancellation and panic containment behave exactly as in MineCtx, and the
+// Cancellation and panic containment behave exactly as in Mine, and the
 // resumed run keeps checkpointing to the same path when Options.Checkpoint
 // is set.
 func Resume(ctx context.Context, path string, d *db.Database, opts Options) (*apriori.Result, *Stats, error) {

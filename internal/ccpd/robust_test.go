@@ -12,6 +12,7 @@ import (
 	"repro/internal/apriori"
 	"repro/internal/db"
 	"repro/internal/gen"
+	"repro/internal/oracle"
 	"repro/internal/robust"
 	"repro/internal/robust/faultinj"
 )
@@ -67,7 +68,7 @@ func TestPanicContainedPerPhase(t *testing.T) {
 			Phase: c.phase, K: c.k, Worker: faultinj.Wildcard, Chunk: faultinj.Wildcard,
 			Action: faultinj.Panic, Once: true,
 		})
-		res, stats, err := Mine(d, opts)
+		res, stats, err := Mine(context.Background(), d, opts)
 		var wp *robust.WorkerPanicError
 		if !errors.As(err, &wp) {
 			t.Fatalf("phase %s: Mine returned %v, want WorkerPanicError", c.phase, err)
@@ -87,7 +88,7 @@ func TestPanicContainedPerPhase(t *testing.T) {
 	}
 
 	// The process survived five injected panics; a clean mine still works.
-	res, _, err := Mine(d, robustOpts())
+	res, _, err := Mine(context.Background(), d, robustOpts())
 	if err != nil {
 		t.Fatalf("clean mine after contained panics: %v", err)
 	}
@@ -95,7 +96,7 @@ func TestPanicContainedPerPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResult(t, "after panics", res, seq)
+	oracle.SameResult(t, "after panics", res, seq)
 }
 
 // TestPCCDPanicContained mirrors the containment contract for the PCCD foil.
@@ -112,7 +113,7 @@ func TestPCCDPanicContained(t *testing.T) {
 			Phase: c.phase, K: c.k, Worker: faultinj.Wildcard, Chunk: faultinj.Wildcard,
 			Action: faultinj.Panic, Once: true,
 		})
-		res, _, err := MinePCCD(d, opts)
+		res, _, err := MinePCCD(context.Background(), d, opts)
 		var wp *robust.WorkerPanicError
 		if !errors.As(err, &wp) {
 			t.Fatalf("pccd %s: MinePCCD returned %v, want WorkerPanicError", c.phase, err)
@@ -136,7 +137,7 @@ func TestPanicChunkAttribution(t *testing.T) {
 		Phase: "count", K: faultinj.Wildcard, Worker: faultinj.Wildcard, Chunk: 3,
 		Action: faultinj.Panic, Once: true,
 	})
-	_, _, err := Mine(d, opts)
+	_, _, err := Mine(context.Background(), d, opts)
 	var wp *robust.WorkerPanicError
 	if !errors.As(err, &wp) {
 		t.Fatalf("Mine returned %v, want WorkerPanicError", err)
@@ -155,15 +156,15 @@ func TestCancelBeforeStart(t *testing.T) {
 	d := testDB(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, stats, err := MineCtx(ctx, d, robustOpts())
+	res, stats, err := Mine(ctx, d, robustOpts())
 	var ce *robust.CanceledError
 	if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("MineCtx = %v, want CanceledError wrapping context.Canceled", err)
+		t.Fatalf("Mine = %v, want CanceledError wrapping context.Canceled", err)
 	}
 	if ce.Phase != "f1" || res != nil || stats != nil {
 		t.Errorf("pre-canceled run: phase=%q res=%v stats=%v", ce.Phase, res, stats)
 	}
-	if res, _, err := MinePCCDCtx(ctx, d, robustOpts()); !errors.As(err, &ce) || res != nil {
+	if res, _, err := MinePCCD(ctx, d, robustOpts()); !errors.As(err, &ce) || res != nil {
 		t.Errorf("pre-canceled PCCD: res=%v err=%v", res, err)
 	}
 }
@@ -174,7 +175,7 @@ func TestCancelBeforeStart(t *testing.T) {
 // interrupted phase.
 func TestCancelMidRun(t *testing.T) {
 	d := testDB(t)
-	straight, _, err := Mine(d, robustOpts())
+	straight, _, err := Mine(context.Background(), d, robustOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +186,10 @@ func TestCancelMidRun(t *testing.T) {
 		Phase: "count", K: 2, Worker: faultinj.Wildcard, Chunk: faultinj.Wildcard,
 		Action: faultinj.Call, Do: cancel, Once: true,
 	})
-	res, stats, err := MineCtx(ctx, d, opts)
+	res, stats, err := Mine(ctx, d, opts)
 	var ce *robust.CanceledError
 	if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("MineCtx = %v, want CanceledError wrapping context.Canceled", err)
+		t.Fatalf("Mine = %v, want CanceledError wrapping context.Canceled", err)
 	}
 	if ce.Phase != "count" || ce.K != 2 {
 		t.Errorf("canceled at phase=%q k=%d, want count/2", ce.Phase, ce.K)
@@ -210,7 +211,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	for _, mode := range []DBPartition{PartitionBlock, PartitionWorkload, PartitionDynamic, PartitionStealing} {
 		opts := robustOpts()
 		opts.DBPart = mode
-		straightRes, straightSt, err := Mine(d, opts)
+		straightRes, straightSt, err := Mine(context.Background(), d, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +220,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		bounded := opts
 		bounded.Checkpoint = path
 		bounded.MaxK = 2
-		if _, _, err := Mine(d, bounded); err != nil {
+		if _, _, err := Mine(context.Background(), d, bounded); err != nil {
 			t.Fatalf("%s bounded: %v", mode, err)
 		}
 
@@ -266,7 +267,7 @@ func TestKillAndResume(t *testing.T) {
 	d := testDB(t)
 	opts := robustOpts()
 	opts.DBPart = PartitionStealing
-	straightRes, straightSt, err := Mine(d, opts)
+	straightRes, straightSt, err := Mine(context.Background(), d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +281,7 @@ func TestKillAndResume(t *testing.T) {
 		Phase: "count", K: 2, Worker: faultinj.Wildcard, Chunk: faultinj.Wildcard,
 		Action: faultinj.Call, Do: cancel, Once: true,
 	})
-	if _, _, err := MineCtx(ctx, d, killed); !errors.Is(err, context.Canceled) {
+	if _, _, err := Mine(ctx, d, killed); !errors.Is(err, context.Canceled) {
 		t.Fatalf("killed run: %v, want cancellation", err)
 	}
 	if _, err := os.Stat(path); err != nil {
@@ -318,7 +319,7 @@ func TestResumePinnedModelTime(t *testing.T) {
 	bounded := opts
 	bounded.Checkpoint = path
 	bounded.MaxK = 3
-	if _, _, err := Mine(d, bounded); err != nil {
+	if _, _, err := Mine(context.Background(), d, bounded); err != nil {
 		t.Fatal(err)
 	}
 	resumed := opts
@@ -341,7 +342,7 @@ func TestResumeValidation(t *testing.T) {
 	ckOpts := opts
 	ckOpts.Checkpoint = path
 	ckOpts.MaxK = 2
-	if _, _, err := Mine(d, ckOpts); err != nil {
+	if _, _, err := Mine(context.Background(), d, ckOpts); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -395,13 +396,13 @@ func TestBatchingBitIdentical(t *testing.T) {
 	for _, mode := range []DBPartition{PartitionBlock, PartitionWorkload, PartitionDynamic, PartitionStealing} {
 		opts := robustOpts()
 		opts.DBPart = mode
-		straight, _, err := Mine(d, opts)
+		straight, _, err := Mine(context.Background(), d, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		batched := opts
 		batched.MaxCandidatesInMemory = 7
-		res, st, err := Mine(d, batched)
+		res, st, err := Mine(context.Background(), d, batched)
 		if err != nil {
 			t.Fatalf("%s batched: %v", mode, err)
 		}
@@ -424,7 +425,7 @@ func TestBatchingBitIdentical(t *testing.T) {
 func TestBatchedCheckpointResume(t *testing.T) {
 	d := testDB(t)
 	opts := robustOpts()
-	straight, _, err := Mine(d, opts)
+	straight, _, err := Mine(context.Background(), d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +434,7 @@ func TestBatchedCheckpointResume(t *testing.T) {
 	bounded.MaxCandidatesInMemory = 9
 	bounded.Checkpoint = path
 	bounded.MaxK = 2
-	if _, _, err := Mine(d, bounded); err != nil {
+	if _, _, err := Mine(context.Background(), d, bounded); err != nil {
 		t.Fatal(err)
 	}
 	resumed := bounded

@@ -1,30 +1,15 @@
 package ccpd
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/apriori"
 	"repro/internal/gen"
 	"repro/internal/hashtree"
+	"repro/internal/oracle"
 	"repro/internal/sched"
 )
-
-// assertSameOrder checks exact frequent-list equality including order —
-// dynamic scheduling must not perturb the output sequence, only the wall
-// clock.
-func assertSameOrder(t *testing.T, label string, got, want *apriori.Result) {
-	t.Helper()
-	g, w := got.All(), want.All()
-	if len(g) != len(w) {
-		t.Fatalf("%s: %d frequent itemsets, want %d", label, len(g), len(w))
-	}
-	for i := range w {
-		if !g[i].Items.Equal(w[i].Items) || g[i].Count != w[i].Count {
-			t.Fatalf("%s: item %d = %v(%d), want %v(%d)",
-				label, i, g[i].Items, g[i].Count, w[i].Items, w[i].Count)
-		}
-	}
-}
 
 func countWorkTotals(s *Stats) []int64 {
 	out := make([]int64, len(s.PerIter))
@@ -47,7 +32,7 @@ func countWorkTotals(s *Stats) []int64 {
 func TestDynamicMatchesStatic(t *testing.T) {
 	d := testDB(t)
 	base := apriori.Options{MinSupport: 0.01, ShortCircuit: true}
-	ref, refStats, err := Mine(d, Options{Options: base, Procs: 1})
+	ref, refStats, err := Mine(context.Background(), d, Options{Options: base, Procs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,14 +43,14 @@ func TestDynamicMatchesStatic(t *testing.T) {
 			for _, chunk := range []int{1, 64, 997} {
 				for _, procs := range []int{1, 4} {
 					label := part.String() + "/" + mode.String()
-					res, stats, err := Mine(d, Options{
+					res, stats, err := Mine(context.Background(), d, Options{
 						Options: base, Procs: procs, Counter: mode,
 						DBPart: part, ChunkSize: chunk,
 					})
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					assertSameOrder(t, label, res, ref)
+					oracle.SameResult(t, label, res, ref)
 
 					totals := countWorkTotals(stats)
 					numChunks := int64(sched.NumChunks(d.Len(), chunk))
@@ -115,11 +100,11 @@ func TestStaticModesUnchangedByPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, part := range []DBPartition{PartitionBlock, PartitionWorkload} {
-		res, stats, err := Mine(d, Options{Options: base, Procs: 4, DBPart: part})
+		res, stats, err := Mine(context.Background(), d, Options{Options: base, Procs: 4, DBPart: part})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameOrder(t, part.String(), res, seqRes)
+		oracle.SameResult(t, part.String(), res, seqRes)
 		for _, it := range stats.PerIter {
 			if it.ChunksClaimed != nil || it.Steals != nil {
 				t.Errorf("%s k=%d: static mode reported chunk claims %v steals %v",
@@ -147,7 +132,7 @@ func TestDynamicBeatsStaticOnSkew(t *testing.T) {
 	// the run (the scheduling comparison only needs the counting phases).
 	base := apriori.Options{MinSupport: 0.02, ShortCircuit: true, MaxK: 3}
 	run := func(part DBPartition) *Stats {
-		_, stats, err := Mine(d, Options{
+		_, stats, err := Mine(context.Background(), d, Options{
 			Options: base, Procs: 4, DBPart: part, ChunkSize: 8,
 		})
 		if err != nil {

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/apriori"
@@ -222,7 +223,7 @@ func MineSequential(d *db.Database, minSupport float64) (*apriori.Result, error)
 // bitonic computation balancing, bitonic tree balancing, short-circuited
 // subset checking, and privatized counters.
 func MineParallel(d *db.Database, minSupport float64, procs int) (*apriori.Result, *ccpd.Stats, error) {
-	return ccpd.Mine(d, ccpd.Options{
+	return ccpd.Mine(context.Background(), d, ccpd.Options{
 		Options: apriori.Options{
 			MinSupport:   minSupport,
 			Hash:         hashtree.HashBitonic,

@@ -53,19 +53,14 @@ func (o Options) minCount(n int) int64 {
 type tidlist []int32
 
 // Mine runs Eclat and returns the result in apriori.Result form so callers
-// (and tests) can compare directly.
-func Mine(d *db.Database, opts Options) (*apriori.Result, error) {
-	return MineCtx(context.Background(), d, opts)
-}
-
-// MineCtx runs Eclat under a context, honoring the same cancellation
+// (and tests) can compare directly. It honors the same cancellation
 // contract as CCPD/PCCD: cancellation is observed at equivalence-class
 // granularity (each first-level class is one task), and a cancelled run
 // returns the partial result — every class completed before the
 // cancellation point — together with a *robust.CanceledError.
 //
 //armlint:cancellable
-func MineCtx(ctx context.Context, d *db.Database, opts Options) (*apriori.Result, error) {
+func Mine(ctx context.Context, d *db.Database, opts Options) (*apriori.Result, error) {
 	if opts.Procs < 1 {
 		opts.Procs = 1
 	}

@@ -32,7 +32,7 @@ func TestEclatMatchesApriori(t *testing.T) {
 	}
 	want := flat(ref)
 	for _, procs := range []int{1, 4} {
-		res, err := Mine(d, Options{MinSupport: 0.02, Procs: procs})
+		res, err := Mine(context.Background(), d, Options{MinSupport: 0.02, Procs: procs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestEclatWorkedExample(t *testing.T) {
 	d.Append(2, itemset.New(1, 2))
 	d.Append(3, itemset.New(3, 4, 5))
 	d.Append(4, itemset.New(1, 2, 4, 5))
-	res, err := Mine(d, Options{AbsSupport: 2})
+	res, err := Mine(context.Background(), d, Options{AbsSupport: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestEclatWorkedExample(t *testing.T) {
 
 func TestEclatMaxK(t *testing.T) {
 	d, _ := gen.Generate(gen.Params{N: 40, L: 10, I: 3, T: 6, D: 300, Seed: 2})
-	res, err := Mine(d, Options{MinSupport: 0.02, MaxK: 2})
+	res, err := Mine(context.Background(), d, Options{MinSupport: 0.02, MaxK: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestEclatMaxK(t *testing.T) {
 }
 
 func TestEclatEmpty(t *testing.T) {
-	res, err := Mine(db.New(5), Options{MinSupport: 0.5})
+	res, err := Mine(context.Background(), db.New(5), Options{MinSupport: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestMineCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	d, _ := gen.Generate(gen.Params{N: 40, L: 10, I: 3, T: 6, D: 300, Seed: 2})
-	res, err := MineCtx(ctx, d, Options{MinSupport: 0.02})
+	res, err := Mine(ctx, d, Options{MinSupport: 0.02})
 	var ce *robust.CanceledError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *robust.CanceledError", err)
@@ -132,13 +132,13 @@ func TestMineCtxMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{MinSupport: 0.02, Procs: 2}
-	want, err := Mine(d, opts)
+	want, err := Mine(context.Background(), d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go cancel()
-	res, err := MineCtx(ctx, d, opts)
+	res, err := Mine(ctx, d, opts)
 	if err != nil {
 		var ce *robust.CanceledError
 		if !errors.As(err, &ce) {

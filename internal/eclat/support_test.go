@@ -1,6 +1,7 @@
 package eclat
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/db"
@@ -26,7 +27,7 @@ func TestFractionalSupportBoundary(t *testing.T) {
 			d.Append(int64(i), itemset.New(3))
 		}
 	}
-	res, err := Mine(d, Options{MinSupport: 0.01})
+	res, err := Mine(context.Background(), d, Options{MinSupport: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}

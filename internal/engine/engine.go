@@ -7,11 +7,11 @@
 // planner call instead of hand-rolled selection logic per call site.
 //
 // The interface is deliberately the intersection the callers need, not the
-// union of everything each engine can do: Mine/MineCtx returning the shared
-// apriori.Result plus normalized Stats, with the optional surfaces
-// (segmented out-of-core mining, checkpoint resume) expressed as capability
-// flags plus narrowing interfaces (SegmentedMiner, Resumer) so a caller can
-// discover support without a type switch per engine.
+// union of everything each engine can do: one context-taking Mine returning
+// the shared apriori.Result plus normalized Stats, with the optional surfaces
+// (segmented out-of-core mining, checkpoint resume) expressed as narrowing
+// interfaces (SegmentedMiner, Resumer) so a caller can discover support
+// without a type switch per engine.
 package engine
 
 import (
@@ -27,29 +27,15 @@ import (
 	"repro/internal/eclat"
 	"repro/internal/hashtree"
 	"repro/internal/obs"
-	"repro/internal/sampling"
 	"repro/internal/vbit"
 )
 
-// Caps declares what a Miner supports beyond plain Mine. Callers branch on
-// capabilities, never on engine names.
+// Caps declares the capability flags a caller branches on instead of engine
+// names. The out-of-core and resume surfaces are discovered through
+// AsSegmented and AsResumer.
 type Caps struct {
-	// Parallel engines honor Spec.Procs and accept an obs.Recorder.
-	Parallel bool
-	// Cancellation: MineCtx observes ctx cooperatively and returns the
-	// partial result with a *robust.CanceledError.
-	Cancellation bool
-	// Checkpoint: Spec.Checkpoint writes per-iteration resumable snapshots.
-	Checkpoint bool
-	// Resume: the engine implements Resumer.
-	Resume bool
-	// Segmented: the engine implements SegmentedMiner (out-of-core path).
-	Segmented bool
-	// Exact engines return results bit-identical to sequential Apriori
-	// (frequent sets, supports, ordering). The sampling engine's sample-side
-	// mining is approximate by design, but its Mine returns the exact
-	// full-database result, so every registered engine is currently exact.
-	Exact bool
+	// Obs: the engine records its phase spans and metrics into Spec.Obs.
+	Obs bool
 }
 
 // Spec is the engine-independent description of one mining run. Every field
@@ -70,17 +56,12 @@ type Spec struct {
 	ChunkSize int
 	// Obs wires the observability recorder through engines that support it.
 	Obs *obs.Recorder
-	// Checkpoint enables per-iteration snapshots on engines with Caps.Checkpoint.
+	// Checkpoint enables per-iteration snapshots on engines that implement
+	// Resumer.
 	Checkpoint string
 	// MemBudget caps resident decoded-segment bytes on the segmented path
 	// (0 = double-buffered prefetch).
 	MemBudget int64
-	// SampleFraction and SupportSlack parameterize the sampling engine
-	// (0 values take the package defaults: 0.1 and 0.9).
-	SampleFraction float64
-	SupportSlack   float64
-	// Seed feeds the sampling engine's random draw.
-	Seed int64
 }
 
 // ccpdOptions lowers a Spec onto the CCPD option struct.
@@ -118,8 +99,6 @@ type Stats struct {
 	// Pipeline is the out-of-core prefetch accounting when the run was
 	// segmented (also reachable through CCPD/VBitSegmented).
 	Pipeline *seg.PipelineStats
-	// Sampling carries the sample-vs-full accuracy for the sampling engine.
-	Sampling *sampling.Accuracy
 }
 
 // Miner is the unified engine interface. Implementations are stateless
@@ -128,11 +107,10 @@ type Miner interface {
 	// Name is the registry key and the CLI's -algo spelling.
 	Name() string
 	Caps() Caps
-	// Mine runs to completion on an in-memory database.
-	Mine(d *db.Database, s Spec) (*apriori.Result, *Stats, error)
-	// MineCtx is Mine under a context; engines without Caps.Cancellation
-	// ignore the context.
-	MineCtx(ctx context.Context, d *db.Database, s Spec) (*apriori.Result, *Stats, error)
+	// Mine runs on an in-memory database under ctx. Every engine except seq
+	// observes the context cooperatively and returns the partial result with
+	// a *robust.CanceledError; seq runs to completion.
+	Mine(ctx context.Context, d *db.Database, s Spec) (*apriori.Result, *Stats, error)
 }
 
 // SegmentedMiner is implemented by engines with an out-of-core path over a
@@ -195,7 +173,6 @@ func init() {
 	register(pccdMiner{})
 	register(eclatMiner{})
 	register(vbitMiner{})
-	register(samplingMiner{})
 }
 
 // --- Adapters ---
@@ -204,11 +181,8 @@ func init() {
 type seqMiner struct{}
 
 func (seqMiner) Name() string { return "seq" }
-func (seqMiner) Caps() Caps   { return Caps{Exact: true} }
-func (m seqMiner) Mine(d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
-	return m.MineCtx(context.Background(), d, s)
-}
-func (seqMiner) MineCtx(_ context.Context, d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
+func (seqMiner) Caps() Caps   { return Caps{} }
+func (seqMiner) Mine(_ context.Context, d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
 	t0 := time.Now()
 	res, err := apriori.Mine(d, s.Mining)
 	if err != nil {
@@ -222,18 +196,13 @@ func (seqMiner) MineCtx(_ context.Context, d *db.Database, s Spec) (*apriori.Res
 type ccpdMiner struct{}
 
 func (ccpdMiner) Name() string { return "ccpd" }
-func (ccpdMiner) Caps() Caps {
-	return Caps{Parallel: true, Cancellation: true, Checkpoint: true, Resume: true, Segmented: true, Exact: true}
-}
-func (m ccpdMiner) Mine(d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
-	return m.MineCtx(context.Background(), d, s)
-}
-func (ccpdMiner) MineCtx(ctx context.Context, d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
-	res, st, err := ccpd.MineCtx(ctx, d, s.ccpdOptions())
+func (ccpdMiner) Caps() Caps   { return Caps{Obs: true} }
+func (ccpdMiner) Mine(ctx context.Context, d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
+	res, st, err := ccpd.Mine(ctx, d, s.ccpdOptions())
 	return res, ccpdStats("ccpd", st), err
 }
 func (ccpdMiner) MineSegmented(ctx context.Context, r *seg.Reader, s Spec) (*apriori.Result, *Stats, error) {
-	res, st, err := ccpd.MineSegmentedCtx(ctx, r, ccpd.SegmentedOptions{
+	res, st, err := ccpd.MineSegmented(ctx, r, ccpd.SegmentedOptions{
 		Options: s.ccpdOptions(), MemBudget: s.MemBudget,
 	})
 	return res, ccpdStats("ccpd", st), err
@@ -257,12 +226,9 @@ func ccpdStats(name string, st *ccpd.Stats) *Stats {
 type pccdMiner struct{}
 
 func (pccdMiner) Name() string { return "pccd" }
-func (pccdMiner) Caps() Caps   { return Caps{Parallel: true, Cancellation: true, Exact: true} }
-func (m pccdMiner) Mine(d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
-	return m.MineCtx(context.Background(), d, s)
-}
-func (pccdMiner) MineCtx(ctx context.Context, d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
-	res, st, err := ccpd.MinePCCDCtx(ctx, d, s.ccpdOptions())
+func (pccdMiner) Caps() Caps   { return Caps{Obs: true} }
+func (pccdMiner) Mine(ctx context.Context, d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
+	res, st, err := ccpd.MinePCCD(ctx, d, s.ccpdOptions())
 	return res, ccpdStats("pccd", st), err
 }
 
@@ -270,13 +236,10 @@ func (pccdMiner) MineCtx(ctx context.Context, d *db.Database, s Spec) (*apriori.
 type eclatMiner struct{}
 
 func (eclatMiner) Name() string { return "eclat" }
-func (eclatMiner) Caps() Caps   { return Caps{Parallel: true, Cancellation: true, Exact: true} }
-func (m eclatMiner) Mine(d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
-	return m.MineCtx(context.Background(), d, s)
-}
-func (eclatMiner) MineCtx(ctx context.Context, d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
+func (eclatMiner) Caps() Caps   { return Caps{} }
+func (eclatMiner) Mine(ctx context.Context, d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
 	t0 := time.Now()
-	res, err := eclat.MineCtx(ctx, d, eclat.Options{
+	res, err := eclat.Mine(ctx, d, eclat.Options{
 		MinSupport: s.Mining.MinSupport, AbsSupport: s.Mining.AbsSupport,
 		MaxK: s.Mining.MaxK, Procs: s.Procs,
 	})
@@ -291,21 +254,16 @@ func (eclatMiner) MineCtx(ctx context.Context, d *db.Database, s Spec) (*apriori
 type vbitMiner struct{}
 
 func (vbitMiner) Name() string { return "vbit" }
-func (vbitMiner) Caps() Caps {
-	return Caps{Parallel: true, Cancellation: true, Segmented: true, Exact: true}
-}
-func (m vbitMiner) Mine(d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
-	return m.MineCtx(context.Background(), d, s)
-}
-func (vbitMiner) MineCtx(ctx context.Context, d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
-	res, st, err := vbit.MineCtx(ctx, d, s.vbitOptions())
+func (vbitMiner) Caps() Caps   { return Caps{Obs: true} }
+func (vbitMiner) Mine(ctx context.Context, d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
+	res, st, err := vbit.Mine(ctx, d, s.vbitOptions())
 	if st == nil {
 		return res, nil, err
 	}
 	return res, &Stats{EngineName: "vbit", Total: st.Total, Count: st.Count, VBit: st}, err
 }
 func (vbitMiner) MineSegmented(ctx context.Context, r *seg.Reader, s Spec) (*apriori.Result, *Stats, error) {
-	res, st, err := vbit.MineSegmentedCtx(ctx, r, vbit.SegmentedOptions{
+	res, st, err := vbit.MineSegmented(ctx, r, vbit.SegmentedOptions{
 		Options: s.vbitOptions(), MemBudget: s.MemBudget,
 	})
 	if st == nil {
@@ -315,30 +273,6 @@ func (vbitMiner) MineSegmented(ctx context.Context, r *seg.Reader, s Spec) (*apr
 		EngineName: "vbit", Total: st.Total,
 		VBitSegmented: st, Pipeline: &st.Pipeline,
 	}, err
-}
-
-// samplingMiner runs the companion-work sampling evaluation: mine a uniform
-// random sample at a slacked support, mine the full database, and report the
-// agreement. Mine returns the exact full-database result (so the engine is
-// safe anywhere an exact Miner is expected); the sample-side accuracy lands
-// in Stats.Sampling.
-type samplingMiner struct{}
-
-func (samplingMiner) Name() string { return "sampling" }
-func (samplingMiner) Caps() Caps   { return Caps{Exact: true} }
-func (m samplingMiner) Mine(d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
-	return m.MineCtx(context.Background(), d, s)
-}
-func (samplingMiner) MineCtx(_ context.Context, d *db.Database, s Spec) (*apriori.Result, *Stats, error) {
-	t0 := time.Now()
-	acc, res, err := sampling.Evaluate(d, sampling.Options{
-		Fraction: s.SampleFraction, SupportSlack: s.SupportSlack,
-		Mining: s.Mining, Seed: s.Seed,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, &Stats{EngineName: "sampling", Total: time.Since(t0), Sampling: &acc}, nil
 }
 
 // Dispatch looks up name and runs the spec against the given source: an
@@ -357,14 +291,14 @@ func Dispatch(ctx context.Context, name string, d *db.Database, r *seg.Reader, s
 		}
 		return sm.MineSegmented(ctx, r, s)
 	}
-	return m.MineCtx(ctx, d, s)
+	return m.Mine(ctx, d, s)
 }
 
 // SegmentedNames lists the engines with an out-of-core path, sorted.
 func SegmentedNames() []string {
 	var out []string
 	for n, m := range registry {
-		if m.Caps().Segmented {
+		if _, ok := AsSegmented(m); ok {
 			out = append(out, n)
 		}
 	}

@@ -8,14 +8,15 @@ import (
 	"repro/internal/apriori"
 	"repro/internal/db/seg"
 	"repro/internal/gen"
+	"repro/internal/oracle"
 )
 
 // TestEquivalenceThroughInterface reruns the PR 5 cross-algorithm
-// equivalence suite through the Miner interface: every registered exact
-// engine, dispatched by name with one shared Spec, must return bit-identical
+// equivalence suite through the Miner interface: every registered engine,
+// dispatched by name with one shared Spec, must return bit-identical
 // results (frequent sets, supports, ordering, MinCount) to sequential
 // Apriori over seeded databases and fractional thresholds — and the engines
-// with a segmented capability must match again when mining the same data
+// with an out-of-core path must match again when mining the same data
 // from an on-disk segmented store.
 func TestEquivalenceThroughInterface(t *testing.T) {
 	for _, seed := range []int64{5, 17} {
@@ -47,25 +48,18 @@ func TestEquivalenceThroughInterface(t *testing.T) {
 				if !ok {
 					t.Fatalf("Names() lists %q but Lookup fails", name)
 				}
-				if !m.Caps().Exact {
-					continue
-				}
-				res, _, err := m.Mine(d, spec)
+				res, _, err := m.Mine(context.Background(), d, spec)
 				if err != nil {
 					t.Fatalf("seed %d sup %g %s: %v", seed, sup, name, err)
 				}
-				assertSameResult(t, name, res, want)
+				oracle.SameResult(t, name, res, want)
 
-				if m.Caps().Segmented {
-					sm, ok := AsSegmented(m)
-					if !ok {
-						t.Fatalf("%s: Caps().Segmented but no SegmentedMiner", name)
-					}
+				if sm, ok := AsSegmented(m); ok {
 					sres, _, err := sm.MineSegmented(context.Background(), r, spec)
 					if err != nil {
 						t.Fatalf("seed %d sup %g %s segmented: %v", seed, sup, name, err)
 					}
-					assertSameResult(t, name+"/segmented", sres, want)
+					oracle.SameResult(t, name+"/segmented", sres, want)
 				}
 			}
 		}
@@ -88,7 +82,7 @@ func TestDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResult(t, "dispatch/vbit", res, want)
+	oracle.SameResult(t, "dispatch/vbit", res, want)
 	if st == nil || st.EngineName != "vbit" || st.VBit == nil {
 		t.Errorf("vbit stats not normalized: %+v", st)
 	}
@@ -110,7 +104,7 @@ func TestDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResult(t, "dispatch/ccpd-seg", sres, want)
+	oracle.SameResult(t, "dispatch/ccpd-seg", sres, want)
 	if sst == nil || sst.Pipeline == nil {
 		t.Errorf("segmented ccpd run missing pipeline stats: %+v", sst)
 	}
@@ -119,63 +113,39 @@ func TestDispatch(t *testing.T) {
 	}
 }
 
-// TestCapsShape pins the capability matrix: callers branch on these flags,
-// so a silent capability regression is an interface break.
+// TestCapsShape pins the capability matrix — the Caps flag plus the
+// narrowing interfaces: callers branch on these, so a silent capability
+// regression is an interface break.
 func TestCapsShape(t *testing.T) {
-	wantCaps := map[string]Caps{
-		"seq":      {Exact: true},
-		"ccpd":     {Parallel: true, Cancellation: true, Checkpoint: true, Resume: true, Segmented: true, Exact: true},
-		"pccd":     {Parallel: true, Cancellation: true, Exact: true},
-		"eclat":    {Parallel: true, Cancellation: true, Exact: true},
-		"vbit":     {Parallel: true, Cancellation: true, Segmented: true, Exact: true},
-		"sampling": {Exact: true},
+	type shape struct {
+		caps              Caps
+		segmented, resume bool
+	}
+	wantShapes := map[string]shape{
+		"seq":   {},
+		"ccpd":  {caps: Caps{Obs: true}, segmented: true, resume: true},
+		"pccd":  {caps: Caps{Obs: true}},
+		"eclat": {},
+		"vbit":  {caps: Caps{Obs: true}, segmented: true},
 	}
 	names := Names()
-	if len(names) != len(wantCaps) {
-		t.Fatalf("registered engines %v, want %d of them", names, len(wantCaps))
+	if len(names) != len(wantShapes) {
+		t.Fatalf("registered engines %v, want %d of them", names, len(wantShapes))
 	}
-	for name, want := range wantCaps {
+	for name, want := range wantShapes {
 		m, ok := Lookup(name)
 		if !ok {
 			t.Errorf("engine %q not registered", name)
 			continue
 		}
-		if got := m.Caps(); got != want {
-			t.Errorf("%s caps = %+v, want %+v", name, got, want)
+		if got := m.Caps(); got != want.caps {
+			t.Errorf("%s caps = %+v, want %+v", name, got, want.caps)
 		}
-		if _, ok := AsResumer(m); ok != want.Resume {
-			t.Errorf("%s: AsResumer = %v, Caps.Resume = %v", name, ok, want.Resume)
+		if _, ok := AsResumer(m); ok != want.resume {
+			t.Errorf("%s: AsResumer = %v, want %v", name, ok, want.resume)
 		}
-		if _, ok := AsSegmented(m); ok != want.Segmented {
-			t.Errorf("%s: AsSegmented = %v, Caps.Segmented = %v", name, ok, want.Segmented)
-		}
-	}
-}
-
-func assertSameResult(t *testing.T, label string, got, want *apriori.Result) {
-	t.Helper()
-	if got.MinCount != want.MinCount {
-		t.Errorf("%s: MinCount %d != %d", label, got.MinCount, want.MinCount)
-	}
-	gk, wk := len(got.ByK), len(want.ByK)
-	for k := 1; k < gk || k < wk; k++ {
-		var g, w []apriori.FrequentItemset
-		if k < gk {
-			g = got.ByK[k]
-		}
-		if k < wk {
-			w = want.ByK[k]
-		}
-		if len(g) != len(w) {
-			t.Errorf("%s: k=%d has %d frequent, want %d", label, k, len(g), len(w))
-			continue
-		}
-		for i := range g {
-			if !g[i].Items.Equal(w[i].Items) || g[i].Count != w[i].Count {
-				t.Errorf("%s: k=%d[%d] = %v/%d, want %v/%d",
-					label, k, i, g[i].Items, g[i].Count, w[i].Items, w[i].Count)
-				break
-			}
+		if _, ok := AsSegmented(m); ok != want.segmented {
+			t.Errorf("%s: AsSegmented = %v, want %v", name, ok, want.segmented)
 		}
 	}
 }

@@ -19,11 +19,17 @@ import (
 )
 
 // DBInfo is everything the planner knows about a database: the O(1)
-// aggregate statistics the density-based selector already used, plus a
-// transaction-length skew measurement and, for segmented stores, the store
-// geometry the out-of-core cost terms need.
+// aggregate statistics (the same shape internal/gen parameterizes its
+// workloads with), a transaction-length skew measurement and, for segmented
+// stores, the store geometry the out-of-core cost terms need.
 type DBInfo struct {
-	vbit.DBStats
+	// Transactions is the row count D, NumItems the item universe N, AvgLen
+	// the mean transaction length T, and Density = T/N the probability a
+	// random item appears in a random row.
+	Transactions int
+	NumItems     int
+	AvgLen       float64
+	Density      float64
 	// TotalItems is the total item-occurrence count (= Transactions·AvgLen);
 	// it is the unit of horizontal counting work.
 	TotalItems int64
@@ -45,7 +51,13 @@ type DBInfo struct {
 // O(1) reads of stored totals; the skew terms take one pass over the
 // transaction-length offsets (no item data is touched).
 func Characterize(d *db.Database) DBInfo {
-	info := DBInfo{DBStats: vbit.Characterize(d), TotalItems: d.TotalItems()}
+	info := DBInfo{
+		Transactions: d.Len(), NumItems: d.NumItems(), AvgLen: d.AvgLen(),
+		TotalItems: d.TotalItems(),
+	}
+	if info.NumItems > 0 {
+		info.Density = info.AvgLen / float64(info.NumItems)
+	}
 	cut := 2 * info.AvgLen
 	var tailItems int64
 	tailTx := 0
@@ -165,8 +177,26 @@ func (p Plan) String() string {
 	return fmt.Sprintf("engine=%s dbpart=%s chunk=%d (%s)", p.Engine, p.DBPart, p.ChunkSize, p.Reason)
 }
 
-// Planner holds the selection policy knobs. The zero value uses the
-// calibrated defaults; construct with struct literals.
+// CrossoverDensity is the density at which the vertical engine starts
+// beating the horizontal hash-tree engine. It comes from the two cost
+// models: a vertical pair probe costs about D/64 word ops when columns are
+// bitmaps, or ~2·density·D tid ops as tidlists, while the hash tree pays per
+// transaction-row regardless of the probed pair's density — its per-pair
+// share only amortizes when rows are long. Below about one occurrence per
+// 128 universe items the vertical columns are so sparse that even the
+// tidlist path degenerates to pointer chasing over near-empty lists while
+// the hash tree still streams the whole database once per iteration, and
+// the hash tree wins; above it the vertical engine's popcount kernels win
+// and keep winning (the dense BENCH_counting rows). The density-sweep
+// experiment (cmd/experiments -sweep density) reproduces this crossover from
+// the deterministic work models; adjust the constant if the sweep moves.
+const CrossoverDensity = 1.0 / 128
+
+// tailMassThreshold is the TailMass above which the static block partition
+// is considered imbalanced and the dynamic modes compete.
+const tailMassThreshold = 0.08
+
+// Planner holds the selection policy knobs; construct with struct literals.
 type Planner struct {
 	// Procs is the worker count the partition model schedules for (default 4).
 	Procs int
@@ -174,27 +204,6 @@ type Planner struct {
 	// double-buffered (segmented runs), and disables the feasibility check
 	// for in-RAM databases.
 	MemBudget int64
-	// CrossoverDensity is the density at which the vertical engine starts
-	// beating the horizontal one (default vbit.DefaultCrossoverDensity,
-	// calibrated by the density-sweep experiment).
-	CrossoverDensity float64
-	// TailMassThreshold is the TailMass above which the static block
-	// partition is considered imbalanced and the dynamic modes compete
-	// (default 0.08).
-	TailMassThreshold float64
-}
-
-func (pl Planner) withDefaults() Planner {
-	if pl.Procs <= 0 {
-		pl.Procs = 4
-	}
-	if pl.CrossoverDensity <= 0 {
-		pl.CrossoverDensity = vbit.DefaultCrossoverDensity
-	}
-	if pl.TailMassThreshold <= 0 {
-		pl.TailMassThreshold = 0.08
-	}
-	return pl
 }
 
 // modelChunks is how many synthetic chunks the partition model schedules:
@@ -230,11 +239,11 @@ func VBitArenaBytes(info DBInfo, txCount int) int64 {
 // model against the horizontal one at the calibrated crossover density gives
 // cost = TotalItems · (crossover/density) — equal at the crossover, cheaper
 // for vbit above it, and degenerating (pointer chasing over near-empty
-// columns) below it. This reproduces the density-based selector's decisions
-// exactly while making them comparable numbers, and lets the memory budget
-// veto a winner: when the vertical arena projection exceeds the budget the
-// plan falls back to the (segmented) streaming CCPD engine, which counts
-// through a bounded hash tree regardless of store size.
+// columns) below it. This turns the density decision into comparable
+// numbers, and lets the memory budget veto a winner: when the vertical arena
+// projection exceeds the budget the plan falls back to the (segmented)
+// streaming CCPD engine, which counts through a bounded hash tree regardless
+// of store size.
 //
 // The partition choice schedules a synthetic chunk-work vector — uniform
 // work with the measured tail mass concentrated in the trailing TailTx
@@ -244,7 +253,9 @@ func VBitArenaBytes(info DBInfo, txCount int) int64 {
 // dynamic model beats block by more than 5%; otherwise block's zero
 // coordination overhead wins.
 func (pl Planner) Plan(info DBInfo) Plan {
-	pl = pl.withDefaults()
+	if pl.Procs <= 0 {
+		pl.Procs = 4
+	}
 	p := Plan{Segmented: info.Segmented, DBPart: ccpd.PartitionBlock, ChunkSize: 256}
 
 	// Engine choice: ccpd vs vbit cost models plus the budget veto.
@@ -257,7 +268,7 @@ func (pl Planner) Plan(info DBInfo) Plan {
 	vcost := int64(0)
 	feasibleV := info.Transactions > 0 && info.NumItems > 0 && info.Density > 0
 	if feasibleV {
-		vcost = int64(float64(hcost) * (pl.CrossoverDensity / info.Density))
+		vcost = int64(float64(hcost) * (CrossoverDensity / info.Density))
 	}
 	vtx := info.Transactions
 	vnote := "materializes every column in RAM"
@@ -282,10 +293,10 @@ func (pl Planner) Plan(info DBInfo) Plan {
 		p.Reason = "vbit infeasible: " + vbitEst.Note
 	case vbitEst.Cost < ccpdEst.Cost:
 		p.Engine = "vbit"
-		p.Reason = fmt.Sprintf("density %.4f above crossover %.4f", info.Density, pl.CrossoverDensity)
+		p.Reason = fmt.Sprintf("density %.4f above crossover %.4f", info.Density, CrossoverDensity)
 	default:
 		p.Engine = "ccpd"
-		p.Reason = fmt.Sprintf("density %.4f below crossover %.4f", info.Density, pl.CrossoverDensity)
+		p.Reason = fmt.Sprintf("density %.4f below crossover %.4f", info.Density, CrossoverDensity)
 	}
 	p.MemBudget = pl.MemBudget
 
@@ -295,7 +306,7 @@ func (pl Planner) Plan(info DBInfo) Plan {
 	work := syntheticChunkWork(info)
 	p.BlockModel = blockModel(work, pl.Procs)
 	p.DynamicModel = maxLoad(sched.GreedySchedule(work, pl.Procs))
-	if info.TailMass >= pl.TailMassThreshold &&
+	if info.TailMass >= tailMassThreshold &&
 		float64(p.DynamicModel) < 0.95*float64(p.BlockModel) {
 		p.DBPart = ccpd.PartitionStealing
 		p.ChunkSize = clampInt(info.Transactions/(pl.Procs*16), 16, 256)

@@ -5,9 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/ccpd"
+	"repro/internal/db"
 	"repro/internal/db/seg"
 	"repro/internal/gen"
-	"repro/internal/vbit"
+	"repro/internal/itemset"
 )
 
 // workloadShapes are the internal/gen reference shapes the planner goldens
@@ -23,6 +24,28 @@ var workloadShapes = map[string]gen.Params{
 	"skewed": {T: 10, I: 4, D: 2000, Seed: 1, SkewFrac: 0.05, SkewMult: 8},
 	// skew below the crossover: the one shape that wants ccpd AND stealing.
 	"sparse-skewed": {N: 3200, L: 1600, T: 10, I: 4, D: 2000, Seed: 1, SkewFrac: 0.05, SkewMult: 8},
+}
+
+// TestCharacterize pins the O(1) aggregate statistics: D, N, mean length
+// and density T/N.
+func TestCharacterize(t *testing.T) {
+	d := db.New(100)
+	for i := 0; i < 50; i++ {
+		d.Append(int64(i), itemset.New(0, 1, 2, 3, 4))
+	}
+	s := Characterize(d)
+	if s.Transactions != 50 || s.NumItems != 100 {
+		t.Errorf("D/N = %d/%d, want 50/100", s.Transactions, s.NumItems)
+	}
+	if s.AvgLen != 5 {
+		t.Errorf("AvgLen = %v, want 5", s.AvgLen)
+	}
+	if s.Density != 0.05 {
+		t.Errorf("Density = %v, want 0.05", s.Density)
+	}
+	if s.TotalItems != 250 || s.TailMass != 0 {
+		t.Errorf("TotalItems/TailMass = %d/%v, want 250/0", s.TotalItems, s.TailMass)
+	}
 }
 
 // plannedChoice is the pinned decision for one workload shape.
@@ -53,7 +76,7 @@ func TestPlannerGoldens(t *testing.T) {
 		w := want[name]
 		if plan.Engine != w.engine {
 			t.Errorf("%s: planned engine %s, want %s (info %+v, reason %q)",
-				name, plan.Engine, w.engine, info.DBStats, plan.Reason)
+				name, plan.Engine, w.engine, info, plan.Reason)
 		}
 		if plan.DBPart != w.dbpart {
 			t.Errorf("%s: planned dbpart %s, want %s (tail mass %.3f, models block=%d dynamic=%d)",
@@ -186,12 +209,12 @@ func TestPlannerSkewSampling(t *testing.T) {
 // TestVBitArenaBytes pins the arena projection's two regimes against the
 // layout's real materialization rule.
 func TestVBitArenaBytes(t *testing.T) {
-	dense := DBInfo{DBStats: vbit.DBStats{Transactions: 6400, NumItems: 100, AvgLen: 12, Density: 0.12}, TotalItems: 6400 * 12}
+	dense := DBInfo{Transactions: 6400, NumItems: 100, AvgLen: 12, Density: 0.12, TotalItems: 6400 * 12}
 	// 6400 tx → 100 words of 8 bytes per bitmap, 100 items.
 	if got, want := VBitArenaBytes(dense, 6400), int64(100*100*8); got != want {
 		t.Errorf("dense arena = %d, want %d", got, want)
 	}
-	sparse := DBInfo{DBStats: vbit.DBStats{Transactions: 6400, NumItems: 100000, AvgLen: 10, Density: 0.0001}, TotalItems: 64000}
+	sparse := DBInfo{Transactions: 6400, NumItems: 100000, AvgLen: 10, Density: 0.0001, TotalItems: 64000}
 	if got, want := VBitArenaBytes(sparse, 6400), int64(64000*4); got != want {
 		t.Errorf("sparse arena = %d, want %d", got, want)
 	}

@@ -6,6 +6,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -13,12 +14,11 @@ import (
 	"repro/internal/apriori"
 	"repro/internal/engine"
 	"repro/internal/gen"
-	"repro/internal/vbit"
 )
 
 // densityUniverses are the item-universe sizes the sweep walks through: at
 // T=10 they span densities from 0.2 (every column a bitmap) down to ~0.003
-// (every column a tidlist), bracketing vbit.DefaultCrossoverDensity = 1/128.
+// (every column a tidlist), bracketing engine.CrossoverDensity = 1/128.
 var densityUniverses = []int{50, 100, 200, 400, 800, 1600, 3200}
 
 // DensitySweep mines one database per universe size with both the
@@ -66,7 +66,7 @@ func (r *Runner) DensitySweep(w io.Writer) error {
 					return fmt.Errorf("engine %q not registered", name)
 				}
 				t0 := time.Now()
-				res, _, err := m.Mine(d, spec)
+				res, _, err := m.Mine(context.Background(), d, spec)
 				if err != nil {
 					return fmt.Errorf("%s N=%d: %w", name, n, err)
 				}
@@ -104,7 +104,7 @@ func (r *Runner) DensitySweep(w io.Writer) error {
 	}
 	tab.Fprint(w)
 	fmt.Fprintf(w, "\nplanner default crossover: density >= %.4f (1/128) -> vbit\n",
-		vbit.DefaultCrossoverDensity)
+		engine.CrossoverDensity)
 	if measuredCross >= 0 {
 		fmt.Fprintf(w, "measured on this host: vbit still wins down to density %.4f\n", measuredCross)
 	} else {

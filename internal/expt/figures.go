@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -195,7 +196,7 @@ func (r *Runner) Figure8(w io.Writer) error {
 		}
 		for _, procs := range r.Procs {
 			model := func(comp, tree bool) int64 {
-				_, st, err2 := ccpd.Mine(d, ccpdOpts(absSupport(d.Len(), SupportHigh), procs, comp, tree, false))
+				_, st, err2 := ccpd.Mine(context.Background(), d, ccpdOpts(absSupport(d.Len(), SupportHigh), procs, comp, tree, false))
 				if err2 != nil {
 					err = err2
 					return 0
@@ -235,11 +236,11 @@ func (r *Runner) Figure9(w io.Writer) error {
 			return err
 		}
 		for _, procs := range r.Procs {
-			_, stBase, err := ccpd.Mine(d, ccpdOpts(absSupport(d.Len(), SupportHigh), procs, true, true, false))
+			_, stBase, err := ccpd.Mine(context.Background(), d, ccpdOpts(absSupport(d.Len(), SupportHigh), procs, true, true, false))
 			if err != nil {
 				return err
 			}
-			_, stSC, err := ccpd.Mine(d, ccpdOpts(absSupport(d.Len(), SupportHigh), procs, true, true, true))
+			_, stSC, err := ccpd.Mine(context.Background(), d, ccpdOpts(absSupport(d.Len(), SupportHigh), procs, true, true, true))
 			if err != nil {
 				return err
 			}
@@ -257,11 +258,11 @@ func (r *Runner) Figure10(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	_, stBase, err := ccpd.Mine(d, ccpdOpts(absSupport(d.Len(), SupportHigh), 1, true, true, false))
+	_, stBase, err := ccpd.Mine(context.Background(), d, ccpdOpts(absSupport(d.Len(), SupportHigh), 1, true, true, false))
 	if err != nil {
 		return err
 	}
-	_, stSC, err := ccpd.Mine(d, ccpdOpts(absSupport(d.Len(), SupportHigh), 1, true, true, true))
+	_, stSC, err := ccpd.Mine(context.Background(), d, ccpdOpts(absSupport(d.Len(), SupportHigh), 1, true, true, true))
 	if err != nil {
 		return err
 	}
@@ -309,7 +310,7 @@ func (r *Runner) Figure11(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		_, st1, err := ccpd.Mine(d, ccpdOpts(absSupport(d.Len(), SupportHigh), 1, true, true, true))
+		_, st1, err := ccpd.Mine(context.Background(), d, ccpdOpts(absSupport(d.Len(), SupportHigh), 1, true, true, true))
 		if err != nil {
 			return err
 		}
@@ -320,7 +321,7 @@ func (r *Runner) Figure11(w io.Writer) error {
 				t.AddRow(name, "1", "1.00", "1.00")
 				continue
 			}
-			_, stP, err := ccpd.Mine(d, ccpdOpts(absSupport(d.Len(), SupportHigh), pr, true, true, true))
+			_, stP, err := ccpd.Mine(context.Background(), d, ccpdOpts(absSupport(d.Len(), SupportHigh), pr, true, true, true))
 			if err != nil {
 				return err
 			}

@@ -8,6 +8,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -57,7 +58,7 @@ func (r *Runner) OutOfCore(w io.Writer) error {
 	}
 
 	t0 := time.Now()
-	want, _, err := ccpd.Mine(d, opts)
+	want, _, err := ccpd.Mine(context.Background(), d, opts)
 	if err != nil {
 		return err
 	}
@@ -65,7 +66,7 @@ func (r *Runner) OutOfCore(w io.Writer) error {
 
 	// Calibrate the synthetic load latency to the measured counting time per
 	// segment visit (delay-free sync pass), then measure both pipeline modes.
-	_, cal, err := ccpd.MineSegmented(rd, ccpd.SegmentedOptions{Options: opts, MemBudget: 1})
+	_, cal, err := ccpd.MineSegmented(context.Background(), rd, ccpd.SegmentedOptions{Options: opts, MemBudget: 1})
 	if err != nil {
 		return err
 	}
@@ -87,7 +88,7 @@ func (r *Runner) OutOfCore(w io.Writer) error {
 		budget int64
 	}{{"ooc sync", 1}, {"ooc double-buffered", 0}} {
 		t0 := time.Now()
-		res, st, err := ccpd.MineSegmented(rd, ccpd.SegmentedOptions{
+		res, st, err := ccpd.MineSegmented(context.Background(), rd, ccpd.SegmentedOptions{
 			Options: opts, MemBudget: m.budget, LoadDelay: delay,
 		})
 		if err != nil {

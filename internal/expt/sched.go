@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -59,7 +60,7 @@ func (r *Runner) SchedBalance(w io.Writer) error {
 				opts.ChunkSize = 16
 				// Heavy tails make deep levels combinatorially dense.
 				opts.MaxK = 4
-				_, st, err := ccpd.Mine(d, opts)
+				_, st, err := ccpd.Mine(context.Background(), d, opts)
 				if err != nil {
 					return err
 				}

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -39,7 +40,7 @@ func (r *Runner) TraceSkewed(traceW, metricsW io.Writer, procs int) error {
 	opts.MaxK = 4
 	opts.Counter = hashtree.CounterAtomic
 	opts.Obs = rec
-	if _, _, err := ccpd.Mine(d, opts); err != nil {
+	if _, _, err := ccpd.Mine(context.Background(), d, opts); err != nil {
 		return fmt.Errorf("expt: skewed trace run: %w", err)
 	}
 

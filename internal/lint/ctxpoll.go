@@ -8,8 +8,8 @@ import (
 // cancellation plumbing exists only if every long loop actually reaches a
 // poll. The analyzer works on the shared call graph:
 //
-//   - Roots are the //armlint:cancellable entry points (MineCtx,
-//     MineSegmentedCtx, the vbit DFS). Everything reachable from a root over
+//   - Roots are the //armlint:cancellable entry points (Mine,
+//     MineSegmented, the vbit DFS). Everything reachable from a root over
 //     Refs edges — calls, method values, go/defer, escaping function
 //     values — inherits the obligation; function literals are part of their
 //     enclosing declaration.

@@ -10,6 +10,7 @@
 package quant
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -280,7 +281,7 @@ func Mine(t *Table, opts Options) (*Result, error) {
 	}
 	var res *apriori.Result
 	if opts.Procs > 1 {
-		res, _, err = ccpd.Mine(d, ccpd.Options{
+		res, _, err = ccpd.Mine(context.Background(), d, ccpd.Options{
 			Options: opts.Mining,
 			Procs:   opts.Procs,
 			Counter: hashtree.CounterPrivate,

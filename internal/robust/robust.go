@@ -64,7 +64,7 @@ func (e *WorkerPanicError) Unwrap() error {
 // CanceledError reports that a mining run stopped cooperatively because its
 // context was canceled (or its deadline passed). The run's partial result —
 // every iteration completed before the cancellation point — is returned
-// alongside the error by MineCtx, and a checkpoint-enabled run can Resume
+// alongside the error by the engine's Mine, and a checkpoint-enabled run can Resume
 // from the last completed iteration.
 type CanceledError struct {
 	// Phase is the phase that observed the cancellation.

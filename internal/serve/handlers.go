@@ -226,7 +226,8 @@ func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 		gauge("armined_snapshot_generation", "Generation of the published snapshot.", snap.Generation)
 		gauge("armined_snapshot_db_transactions", "Transaction prefix covered by the published snapshot.", snap.DBLen)
 		gauge("armined_snapshot_rules", "Rules in the published snapshot.", int64(len(snap.Rules)))
-		gauge("armined_snapshot_mine_wall_seconds", "Wall-clock of the published snapshot's mine (seconds, truncated).", int64(snap.Wall.Seconds()))
+		fmt.Fprintf(w, "# HELP %[1]s Wall-clock of the published snapshot's mine in seconds.\n# TYPE %[1]s gauge\n%[1]s %[2]g\n",
+			"armined_snapshot_mine_wall_seconds", snap.Wall.Seconds())
 	}
 	// The live recorder: scrape-safe by construction (atomic per-worker
 	// counters), even while a mine is actively recording into it.

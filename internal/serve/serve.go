@@ -15,7 +15,7 @@
 //     engine.Planner re-chooses the engine per re-mine from the database's
 //     current shape (density drifts as data streams in), and
 //     engine.Dispatch runs it under the loop's context so shutdown cancels
-//     a mine mid-flight via MineCtx.
+//     a mine mid-flight via the engine's Mine.
 //   - The mine's result plus a pre-generated rules.GenerateFast rule list
 //     (with a per-item query index) freeze into an immutable Snapshot,
 //     published by an atomic.Pointer swap. Query handlers (GET /rules,
@@ -250,7 +250,7 @@ func (s *Server) markDirty() {
 
 // Run is the background re-mine loop: wake on ingestion, mine the frozen
 // prefix, publish, debounce, repeat. It exits when ctx is canceled — a mine
-// in flight is canceled cooperatively through the engine's MineCtx and its
+// in flight is canceled cooperatively through the engine's Mine and its
 // partial result is discarded. Call exactly once, in its own goroutine;
 // Wait blocks until it has exited.
 func (s *Server) Run(ctx context.Context) {

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -288,6 +290,14 @@ func TestHTTPEndToEnd(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %s", want)
 		}
+	}
+	// The mine behind this small snapshot takes well under a second; its
+	// wall-clock gauge must carry the fraction, not truncate it to 0.
+	wallRe := regexp.MustCompile(`(?m)^armined_snapshot_mine_wall_seconds (\S+)$`)
+	if m := wallRe.FindSubmatch(body); m == nil {
+		t.Error("/metrics missing armined_snapshot_mine_wall_seconds")
+	} else if v, err := strconv.ParseFloat(string(m[1]), 64); err != nil || v <= 0 {
+		t.Errorf("armined_snapshot_mine_wall_seconds = %q, want a positive float", m[1])
 	}
 
 	var h healthzResponse

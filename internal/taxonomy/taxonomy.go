@@ -10,6 +10,7 @@
 package taxonomy
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -147,7 +148,7 @@ func Mine(d *db.Database, t *Taxonomy, opts Options) (*Result, error) {
 	var raw *apriori.Result
 	var err error
 	if opts.Procs > 1 {
-		raw, _, err = ccpd.Mine(ext, ccpd.Options{
+		raw, _, err = ccpd.Mine(context.Background(), ext, ccpd.Options{
 			Options: opts.Mining,
 			Procs:   opts.Procs,
 			Counter: hashtree.CounterPrivate,

@@ -47,16 +47,11 @@ type SegmentedStats struct {
 // segment's transactions) and the candidates' supports accumulate across
 // segments via the same word-parallel popcount kernels. Frequent sets and
 // supports are identical to the in-RAM engine; only the traversal order (and
-// with it the work model) differs.
-func MineSegmented(r *seg.Reader, opts SegmentedOptions) (*apriori.Result, *SegmentedStats, error) {
-	return MineSegmentedCtx(context.Background(), r, opts)
-}
-
-// MineSegmentedCtx is MineSegmented under a context; cancellation returns
-// the partial result (completed levels) with a *robust.CanceledError.
+// with it the work model) differs. Cancellation returns the partial result
+// (completed levels) with a *robust.CanceledError.
 //
 //armlint:cancellable
-func MineSegmentedCtx(ctx context.Context, r *seg.Reader, opts SegmentedOptions) (*apriori.Result, *SegmentedStats, error) {
+func MineSegmented(ctx context.Context, r *seg.Reader, opts SegmentedOptions) (*apriori.Result, *SegmentedStats, error) {
 	o := opts.Options.withDefaults()
 	start := time.Now() //armlint:allow determinism wall-clock phase total feeds SegmentedStats only, never the work model
 	n := r.NumTx()

@@ -14,6 +14,7 @@ import (
 	"repro/internal/db/seg"
 	"repro/internal/gen"
 	"repro/internal/obs"
+	"repro/internal/oracle"
 	"repro/internal/robust"
 )
 
@@ -48,22 +49,22 @@ func TestSegmentedMatchesInRAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vres, _, err := Mine(d, Options{MinSupport: 0.01, Procs: 3})
+	vres, _, err := Mine(context.Background(), d, Options{MinSupport: 0.01, Procs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, "in-RAM-vbit", vres, want)
+	oracle.SameResult(t, "in-RAM-vbit", vres, want)
 	cutoffs := map[string]float64{"mixed-layout": 0, "all-bitmap": 1e-9, "all-tidlist": 1.5}
 	for cn, cutoff := range cutoffs {
 		for _, budget := range []int64{1, 0} {
-			res, stats, err := MineSegmented(r, SegmentedOptions{
+			res, stats, err := MineSegmented(context.Background(), r, SegmentedOptions{
 				Options:   Options{MinSupport: 0.01, Procs: 3, DensityCutoff: cutoff},
 				MemBudget: budget,
 			})
 			if err != nil {
 				t.Fatalf("%s budget %d: %v", cn, budget, err)
 			}
-			sameResult(t, cn, res, want)
+			oracle.SameResult(t, cn, res, want)
 			if res.MinCount != want.MinCount {
 				t.Errorf("%s: MinCount %d != %d", cn, res.MinCount, want.MinCount)
 			}
@@ -102,13 +103,13 @@ func TestSegmentedBeyondArenaLimit(t *testing.T) {
 	if r.NumSegments() < 5 {
 		t.Fatalf("want many segments, got %d", r.NumSegments())
 	}
-	res, stats, err := MineSegmented(r, SegmentedOptions{
+	res, stats, err := MineSegmented(context.Background(), r, SegmentedOptions{
 		Options: Options{AbsSupport: 10, Procs: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, "beyond-arena", res, want)
+	oracle.SameResult(t, "beyond-arena", res, want)
 	if stats.Pipeline.Segments < stats.Levels*r.NumSegments() {
 		t.Errorf("pipeline saw %d segment visits for %d levels x %d segments",
 			stats.Pipeline.Segments, stats.Levels, r.NumSegments())
@@ -121,12 +122,12 @@ func TestSegmentedMaxK(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := segStore(t, d, seg.WriterOptions{SegTx: 100})
-	full, _, err := MineSegmented(r, SegmentedOptions{Options: Options{MinSupport: 0.02, Procs: 2}})
+	full, _, err := MineSegmented(context.Background(), r, SegmentedOptions{Options: Options{MinSupport: 0.02, Procs: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for maxK := 1; maxK <= 3; maxK++ {
-		res, _, err := MineSegmented(r, SegmentedOptions{Options: Options{MinSupport: 0.02, Procs: 2, MaxK: maxK}})
+		res, _, err := MineSegmented(context.Background(), r, SegmentedOptions{Options: Options{MinSupport: 0.02, Procs: 2, MaxK: maxK}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +150,7 @@ func TestSegmentedCancellation(t *testing.T) {
 	r := segStore(t, d, seg.WriterOptions{SegTx: 100})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err = MineSegmentedCtx(ctx, r, SegmentedOptions{Options: Options{MinSupport: 0.01, Procs: 2}})
+	_, _, err = MineSegmented(ctx, r, SegmentedOptions{Options: Options{MinSupport: 0.01, Procs: 2}})
 	var ce *robust.CanceledError
 	if !errors.As(err, &ce) {
 		t.Fatalf("pre-canceled: err = %v, want *robust.CanceledError", err)
@@ -160,7 +161,7 @@ func TestSegmentedCancellation(t *testing.T) {
 		time.Sleep(3 * time.Millisecond)
 		cancel2()
 	}()
-	res, _, err := MineSegmentedCtx(ctx2, r, SegmentedOptions{
+	res, _, err := MineSegmented(ctx2, r, SegmentedOptions{
 		Options:   Options{MinSupport: 0.005, Procs: 2},
 		LoadDelay: time.Millisecond,
 	})
@@ -173,7 +174,7 @@ func TestSegmentedCancellation(t *testing.T) {
 		t.Error("partial result present but empty at k=1")
 	}
 	// The reader must be reusable after an aborted pass.
-	if _, _, err := MineSegmented(r, SegmentedOptions{Options: Options{MinSupport: 0.01, Procs: 2}}); err != nil {
+	if _, _, err := MineSegmented(context.Background(), r, SegmentedOptions{Options: Options{MinSupport: 0.01, Procs: 2}}); err != nil {
 		t.Fatalf("rerun after cancel: %v", err)
 	}
 }
@@ -185,7 +186,7 @@ func TestSegmentedObsSpans(t *testing.T) {
 	}
 	r := segStore(t, d, seg.WriterOptions{SegTx: 100})
 	rec := obs.NewRecorder(2)
-	if _, _, err := MineSegmented(r, SegmentedOptions{
+	if _, _, err := MineSegmented(context.Background(), r, SegmentedOptions{
 		Options: Options{MinSupport: 0.02, Procs: 2, Obs: rec},
 	}); err != nil {
 		t.Fatal(err)

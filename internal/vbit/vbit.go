@@ -109,13 +109,6 @@ func (s *Stats) ModelTime() int64 {
 	return t + s.BuildWork + c + s.ReduceWork
 }
 
-// Mine runs the word-parallel dEclat engine and returns the frequent
-// itemsets in the same apriori.Result shape as every other engine, with
-// deterministic ordering (ascending itemsets within each k).
-func Mine(d *db.Database, opts Options) (*apriori.Result, *Stats, error) {
-	return MineCtx(context.Background(), d, opts)
-}
-
 // annotate stamps phase/iteration context onto a contained worker panic.
 func annotate(err error, phase string, k int) error {
 	var wp *robust.WorkerPanicError
@@ -125,14 +118,17 @@ func annotate(err error, phase string, k int) error {
 	return err
 }
 
-// MineCtx runs the engine under a context. Cancellation is cooperative:
-// the F1 scan polls every ChunkStride transactions, the DFS phase polls at
-// every class claim, and a cancelled run returns the partial result (every
-// class completed before the cancellation point, merged in class order)
-// together with a *robust.CanceledError naming the interrupted phase.
+// Mine runs the word-parallel dEclat engine and returns the frequent
+// itemsets in the same apriori.Result shape as every other engine, with
+// deterministic ordering (ascending itemsets within each k). Cancellation is
+// cooperative: the F1 scan polls every ChunkStride transactions, the DFS
+// phase polls at every class claim, and a cancelled run returns the partial
+// result (every class completed before the cancellation point, merged in
+// class order) together with a *robust.CanceledError naming the interrupted
+// phase.
 //
 //armlint:cancellable
-func MineCtx(ctx context.Context, d *db.Database, opts Options) (*apriori.Result, *Stats, error) {
+func Mine(ctx context.Context, d *db.Database, opts Options) (*apriori.Result, *Stats, error) {
 	opts = opts.withDefaults()
 	start := time.Now() //armlint:allow determinism wall-clock phase total feeds Stats only, never the work model
 	minCount := apriori.Options{MinSupport: opts.MinSupport, AbsSupport: opts.AbsSupport}.MinCount(d.Len())

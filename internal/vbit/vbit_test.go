@@ -10,6 +10,7 @@ import (
 	"repro/internal/db"
 	"repro/internal/gen"
 	"repro/internal/itemset"
+	"repro/internal/oracle"
 	"repro/internal/robust"
 )
 
@@ -30,34 +31,6 @@ func randomDB(rng *rand.Rand, n, dd int, density float64) *db.Database {
 	return out
 }
 
-func sameResult(t *testing.T, label string, got, want *apriori.Result) {
-	t.Helper()
-	if got.NumFrequent() != want.NumFrequent() {
-		t.Errorf("%s: %d frequent itemsets, want %d", label, got.NumFrequent(), want.NumFrequent())
-	}
-	for k := 1; k < len(want.ByK); k++ {
-		wk := want.ByK[k]
-		if k >= len(got.ByK) {
-			if len(wk) > 0 {
-				t.Errorf("%s: missing k=%d (%d sets)", label, k, len(wk))
-			}
-			continue
-		}
-		gk := got.ByK[k]
-		if len(gk) != len(wk) {
-			t.Errorf("%s: k=%d has %d sets, want %d", label, k, len(gk), len(wk))
-			continue
-		}
-		for i := range wk {
-			if !gk[i].Items.Equal(wk[i].Items) || gk[i].Count != wk[i].Count {
-				t.Errorf("%s: k=%d[%d] = %v/%d, want %v/%d",
-					label, k, i, gk[i].Items, gk[i].Count, wk[i].Items, wk[i].Count)
-				break
-			}
-		}
-	}
-}
-
 // TestMineProperty drives the engine over randomized databases spanning the
 // density spectrum — plus the degenerate shapes (empty transactions,
 // singleton universe) — under all three layouts, against sequential
@@ -65,10 +38,10 @@ func sameResult(t *testing.T, label string, got, want *apriori.Result) {
 func TestMineProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	shapes := []struct {
-		name     string
-		n, d     int
-		density  float64
-		support  float64
+		name    string
+		n, d    int
+		density float64
+		support float64
 	}{
 		{"dense", 12, 200, 0.5, 0.1},
 		{"sparse", 40, 300, 0.03, 0.01},
@@ -85,11 +58,11 @@ func TestMineProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			for cn, cutoff := range cutoffs {
-				res, stats, err := Mine(d, Options{MinSupport: sh.support, Procs: 3, DensityCutoff: cutoff})
+				res, stats, err := Mine(context.Background(), d, Options{MinSupport: sh.support, Procs: 3, DensityCutoff: cutoff})
 				if err != nil {
 					t.Fatalf("%s/%s trial %d: %v", sh.name, cn, trial, err)
 				}
-				sameResult(t, sh.name+"/"+cn, res, want)
+				oracle.SameResult(t, sh.name+"/"+cn, res, want)
 				if res.MinCount != want.MinCount {
 					t.Errorf("%s/%s: MinCount %d != %d", sh.name, cn, res.MinCount, want.MinCount)
 				}
@@ -104,12 +77,12 @@ func TestMineProperty(t *testing.T) {
 func TestMineMaxK(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	d := randomDB(rng, 15, 150, 0.4)
-	full, _, err := Mine(d, Options{MinSupport: 0.1, Procs: 2})
+	full, _, err := Mine(context.Background(), d, Options{MinSupport: 0.1, Procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for maxK := 1; maxK <= 3; maxK++ {
-		res, _, err := Mine(d, Options{MinSupport: 0.1, Procs: 2, MaxK: maxK})
+		res, _, err := Mine(context.Background(), d, Options{MinSupport: 0.1, Procs: 2, MaxK: maxK})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +101,7 @@ func TestMineCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	d := randomDB(rand.New(rand.NewSource(1)), 10, 100, 0.3)
-	res, _, err := MineCtx(ctx, d, Options{MinSupport: 0.1, Procs: 2})
+	res, _, err := Mine(ctx, d, Options{MinSupport: 0.1, Procs: 2})
 	var ce *robust.CanceledError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *robust.CanceledError", err)
@@ -148,13 +121,13 @@ func TestMineCtxMidRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	d := randomDB(rng, 30, 400, 0.35)
 	opts := Options{MinSupport: 0.05, Procs: 2}
-	want, _, err := Mine(d, opts)
+	want, _, err := Mine(context.Background(), d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go cancel()
-	res, _, err := MineCtx(ctx, d, opts)
+	res, _, err := Mine(ctx, d, opts)
 	if err != nil {
 		var ce *robust.CanceledError
 		if !errors.As(err, &ce) {
@@ -184,7 +157,7 @@ func TestModelPinned(t *testing.T) {
 	}
 	var ref *Stats
 	for _, procs := range []int{1, 2, 4} {
-		_, stats, err := Mine(d, Options{MinSupport: 0.01, Procs: procs})
+		_, stats, err := Mine(context.Background(), d, Options{MinSupport: 0.01, Procs: procs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +181,7 @@ func TestModelPinned(t *testing.T) {
 	if ref.TotalWork() != pinnedTotalWork {
 		t.Errorf("TotalWork = %d, want pinned %d", ref.TotalWork(), pinnedTotalWork)
 	}
-	_, stats4, err := Mine(d, Options{MinSupport: 0.01, Procs: 4})
+	_, stats4, err := Mine(context.Background(), d, Options{MinSupport: 0.01, Procs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
