@@ -20,6 +20,7 @@ import (
 	"repro/internal/hashtree"
 	"repro/internal/itemset"
 	"repro/internal/mem"
+	"repro/internal/pairs"
 	"repro/internal/quant"
 	"repro/internal/rules"
 	"repro/internal/seqpat"
@@ -412,6 +413,42 @@ func BenchmarkVBitKernel(b *testing.B) {
 				lay.CountCandidates(scr, cands, out)
 			}
 		})
+	}
+}
+
+// BenchmarkCountPairs is the k=2 pair pass's kernel: one sweep of a
+// T10.I4-shaped database through Triangle.Add, counting every frequent pair
+// into the upper-triangular array — the work that replaces C(|F1|,2)
+// hash-tree candidates in ccpd/pccd and the level-1 pair diffs in vbit.
+// allocs/op must be 0: the rank scratch is caller-provided.
+func BenchmarkCountPairs(b *testing.B) {
+	d, err := gen.Generate(gen.Params{T: 10, I: 4, D: 2000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	counts := make([]int64, d.NumItems())
+	maxLen := 0
+	for i := 0; i < d.Len(); i++ {
+		row := d.Items(i)
+		if len(row) > maxLen {
+			maxLen = len(row)
+		}
+		for _, it := range row {
+			counts[it]++
+		}
+	}
+	var items []itemset.Item
+	for _, f := range pairs.FrequentItems(counts, 5) {
+		items = append(items, f.Items[0])
+	}
+	tri := pairs.NewTriangle(items, d.NumItems())
+	buf := make([]int32, maxLen)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for t := 0; t < d.Len(); t++ {
+			tri.Add(d.Items(t), buf)
+		}
 	}
 }
 

@@ -31,6 +31,7 @@ import (
 	"repro/internal/hashtree"
 	"repro/internal/itemset"
 	"repro/internal/obs"
+	"repro/internal/pairs"
 	"repro/internal/partition"
 	"repro/internal/robust"
 	"repro/internal/robust/faultinj"
@@ -138,6 +139,14 @@ type Options struct {
 	// phase/chunk granularity — tests and CI smoke only; a nil injector
 	// compiles to a nil check at every site.
 	FaultInj *faultinj.Injector
+	// PairPass counts iteration 2 of an in-RAM run (Mine, Resume, MinePCCD)
+	// with the shared triangular-array pass of package pairs instead of
+	// generating, building and counting the C(|F1|,2) hash-tree candidates.
+	// The frequent sets are identical; the work model is not, so the zero
+	// value keeps the paper's hash tree for the figure regeneration and the
+	// pinned model totals. Segmented runs, and runs whose private triangles
+	// exceed the pairs budget, use the hash tree regardless.
+	PairPass bool
 }
 
 func (o Options) withDefaults() Options {
@@ -189,6 +198,11 @@ func (o Options) fingerprint() uint64 {
 	put(uint64(o.DBPart))
 	put(uint64(o.AdaptiveMinUnits))
 	put(uint64(o.ChunkSize))
+	// Hashed only when set, so checkpoints of hash-tree runs keep the
+	// fingerprint they had before the option existed.
+	if o.PairPass {
+		put(1)
+	}
 	return h.Sum64()
 }
 
@@ -527,6 +541,16 @@ func (m *miner) iterate(ctx context.Context, k int, prev []itemset.Itemset) (fk 
 
 	if err := robust.Canceled(ctx, "gen", k); err != nil {
 		return nil, false, err
+	}
+	if k == 2 && m.src == nil {
+		fk, pt, ok, err := pairIteration(ctx, m.d, m.pool, opts, m.minCount, prev)
+		if err != nil {
+			return nil, false, err
+		}
+		if ok {
+			m.stats.PerIter = append(m.stats.PerIter, pt)
+			return fk, false, nil
+		}
 	}
 	t0 := time.Now()
 	m.rec.SetPhase(obs.PhaseCandGen, k)
@@ -914,42 +938,68 @@ func idleOf(acc []sched.PerWorker) time.Duration {
 	return time.Duration(idle)
 }
 
-// parallelFrequentOne counts 1-itemsets with per-processor count arrays,
-// polling for cancellation every stride transactions. On cancellation the
-// caller must discard the (partial) counts — it checks the context before
-// using the result.
+// parallelFrequentOne counts 1-itemsets through the shared item pass of
+// package pairs (block partition, per-processor private arrays), polling for
+// cancellation every stride transactions. On cancellation the caller must
+// discard the (partial) counts — it checks the context before using the
+// result.
 func parallelFrequentOne(ctx context.Context, d *db.Database, minCount int64, pool *sched.Pool, fi *faultinj.Injector, stride int) ([]apriori.FrequentItemset, error) {
-	procs := pool.Procs()
-	local := make([][]int64, procs)
-	slices := d.BlockPartition(procs)
-	err := pool.Run(func(p int) {
-		fi.Fire("f1", 1, p, -1)
-		counts := make([]int64, d.NumItems())
-		s := slices[p]
-		for i := s.Lo; i < s.Hi; i++ {
-			if (i-s.Lo)%stride == 0 && ctx.Err() != nil {
-				break
-			}
-			for _, it := range d.Items(i) {
-				counts[it]++
-			}
-		}
-		local[p] = counts
-	})
+	counts, _, err := pairs.CountItems(ctx, d, pool, stride, fi)
 	if err != nil {
 		return nil, err
 	}
-	var out []apriori.FrequentItemset
-	for it := 0; it < d.NumItems(); it++ {
-		var c int64
-		for p := 0; p < procs; p++ {
-			c += local[p][it]
-		}
-		if c >= minCount {
-			out = append(out, apriori.FrequentItemset{Items: itemset.New(itemset.Item(it)), Count: c})
-		}
+	return pairs.FrequentItems(counts, minCount), nil
+}
+
+// pairIteration runs iteration 2 as the shared triangular-array pass of
+// package pairs: no candidate generation, tree build or hash-tree count — F2
+// comes straight out of the summed triangle in lexicographic order, so k=3
+// generation is fed unchanged. ok is false when the caller must run the
+// paper's hash-tree iteration instead: Options.PairPass unset, fewer than two
+// frequent items (no candidates: the hash-tree path records that fixpoint),
+// or private triangles over the pairs budget. prev is F1.
+//
+// The work model follows the pass: CountWork is each worker's ranked items
+// and pair increments over its block, ReduceWork the serial scan of the
+// C(|F1|,2) cells (the implicit candidate set), and there is no generation
+// or build work.
+func pairIteration(ctx context.Context, d *db.Database, pool *sched.Pool, opts Options, minCount int64, prev []itemset.Itemset) (fk []apriori.FrequentItemset, pt PhaseTiming, ok bool, err error) {
+	n := len(prev)
+	if !opts.PairPass || n < 2 || !pairs.Fits(n, opts.Procs, d.Len()) {
+		return nil, pt, false, nil
 	}
-	return out, nil
+	items := make([]itemset.Item, n)
+	for i, f := range prev {
+		items[i] = f[0]
+	}
+	rec := opts.Obs
+	t0 := time.Now()
+	rec.SetPhase(obs.PhaseCount, 2)
+	rec.BeginPhase(obs.PhaseCount, 2)
+	tri, work, err := pairs.Count(ctx, d, pool, items, opts.ChunkSize, opts.FaultInj)
+	rec.EndPhase(obs.PhaseCount, 2)
+	if err != nil {
+		return nil, pt, true, annotate(err, "count", 2)
+	}
+	if err := robust.Canceled(ctx, "count", 2); err != nil {
+		return nil, pt, true, err
+	}
+	for p, w := range work {
+		rec.Worker(p).AddWork(w)
+	}
+	pt = PhaseTiming{
+		K: 2, Count: time.Since(t0), Candidates: tri.Cells(), Batches: 1,
+		CountWork: work, ReduceWork: int64(tri.Cells()),
+	}
+	t0 = time.Now()
+	rec.SetPhase(obs.PhaseReduce, 2)
+	rec.BeginPhase(obs.PhaseReduce, 2)
+	fk = tri.Frequent(minCount)
+	rec.EndPhase(obs.PhaseReduce, 2)
+	pt.Reduce = time.Since(t0)
+	pt.Frequent = len(fk)
+	rec.IterStats(2, tri.Cells(), len(fk))
+	return fk, pt, true, nil
 }
 
 // generateParallel partitions the join units of F_{k-1}'s equivalence

@@ -2,6 +2,7 @@ package ccpd
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/apriori"
@@ -14,7 +15,8 @@ import (
 )
 
 // TestCrossAlgorithmEquivalence asserts that every mining engine in the repo
-// — sequential Apriori, CCPD under all four database partition modes, PCCD,
+// — sequential Apriori, CCPD under all four database partition modes and
+// PCCD, each with iteration 2 counted by the hash tree and by the pair pass,
 // Eclat, and the vertical bitmap engine under its three layouts (mixed,
 // all-bitmap, all-tidlist) — returns the same frequent sets with the same
 // supports, over a
@@ -33,26 +35,27 @@ func TestCrossAlgorithmEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, mode := range []DBPartition{PartitionBlock, PartitionWorkload, PartitionDynamic, PartitionStealing} {
-				res, _, err := Mine(context.Background(), d, Options{
-					Options: apriori.Options{MinSupport: sup, ShortCircuit: true},
-					Procs:   4, Balance: BalanceBitonic, DBPart: mode, ChunkSize: 32,
+			for _, pairPass := range []bool{false, true} {
+				for _, mode := range []DBPartition{PartitionBlock, PartitionWorkload, PartitionDynamic, PartitionStealing} {
+					res, _, err := Mine(context.Background(), d, Options{
+						Options: apriori.Options{MinSupport: sup, ShortCircuit: true},
+						Procs:   4, Balance: BalanceBitonic, DBPart: mode, ChunkSize: 32,
+						PairPass: pairPass,
+					})
+					if err != nil {
+						t.Fatalf("seed %d sup %g ccpd/%s pair pass %v: %v", seed, sup, mode, pairPass, err)
+					}
+					oracle.SameResult(t, fmt.Sprintf("%s pair pass %v", mode, pairPass), res, want)
+				}
+				pres, _, err := MinePCCD(context.Background(), d, Options{
+					Options: apriori.Options{MinSupport: sup, ShortCircuit: true}, Procs: 3,
+					PairPass: pairPass,
 				})
 				if err != nil {
-					t.Fatalf("seed %d sup %g ccpd/%s: %v", seed, sup, mode, err)
+					t.Fatalf("seed %d sup %g pccd pair pass %v: %v", seed, sup, pairPass, err)
 				}
-				oracle.SameResult(t, mode.String(), res, want)
-				if res.MinCount != want.MinCount {
-					t.Errorf("seed %d sup %g ccpd/%s: MinCount %d != %d", seed, sup, mode, res.MinCount, want.MinCount)
-				}
+				oracle.SameResult(t, fmt.Sprintf("pccd pair pass %v", pairPass), pres, want)
 			}
-			pres, _, err := MinePCCD(context.Background(), d, Options{
-				Options: apriori.Options{MinSupport: sup, ShortCircuit: true}, Procs: 3,
-			})
-			if err != nil {
-				t.Fatalf("seed %d sup %g pccd: %v", seed, sup, err)
-			}
-			oracle.SameResult(t, "pccd", pres, want)
 			eres, err := eclat.Mine(context.Background(), d, eclat.Options{MinSupport: sup, Procs: 2})
 			if err != nil {
 				t.Fatalf("seed %d sup %g eclat: %v", seed, sup, err)

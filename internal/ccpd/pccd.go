@@ -2,6 +2,7 @@ package ccpd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -28,7 +29,8 @@ import (
 // returns the completed iterations with a *robust.CanceledError, and a
 // worker panic surfaces as a *robust.WorkerPanicError. PCCD is the
 // measurement foil, not the production path, so it has no checkpointing or
-// candidate batching.
+// candidate batching. With Options.PairPass, iteration 2 is the shared
+// triangular-array pass, exactly as in Mine.
 //
 //armlint:cancellable
 func MinePCCD(ctx context.Context, d *db.Database, opts Options) (*apriori.Result, *Stats, error) {
@@ -86,6 +88,24 @@ func MinePCCD(ctx context.Context, d *db.Database, opts Options) (*apriori.Resul
 
 		if err := robust.Canceled(ctx, "gen", k); err != nil {
 			return partial(err)
+		}
+		if k == 2 {
+			fk, pt, ok, err := pairIteration(ctx, d, pool, opts, minCount, prev)
+			var ce *robust.CanceledError
+			switch {
+			case errors.As(err, &ce):
+				return partial(err)
+			case err != nil:
+				return nil, nil, err
+			case ok:
+				res.ByK = append(res.ByK, fk)
+				stats.PerIter = append(stats.PerIter, pt)
+				prev = prev[:0]
+				for _, f := range fk {
+					prev = append(prev, f.Items)
+				}
+				continue
+			}
 		}
 		t0 = time.Now()
 		rec.BeginPhase(obs.PhaseCandGen, k)

@@ -64,13 +64,17 @@ type Spec struct {
 	MemBudget int64
 }
 
-// ccpdOptions lowers a Spec onto the CCPD option struct.
+// ccpdOptions lowers a Spec onto the CCPD option struct. Every engine
+// caller counts iteration 2 with the triangular-array pair pass; the paper's
+// k=2 hash tree stays the ccpd package's zero value, used by the figure
+// regeneration and the pinned work model.
 func (s Spec) ccpdOptions() ccpd.Options {
 	return ccpd.Options{
 		Options: s.Mining,
 		Procs:   s.Procs, Counter: s.Counter, Balance: s.Balance,
 		DBPart: s.DBPart, ChunkSize: s.ChunkSize,
 		Obs: s.Obs, Checkpoint: s.Checkpoint,
+		PairPass: true,
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/db"
 	"repro/internal/itemset"
 	"repro/internal/obs"
+	"repro/internal/pairs"
 	"repro/internal/robust"
 	"repro/internal/sched"
 )
@@ -63,11 +64,18 @@ type Stats struct {
 	// F1Work is the per-processor item-scan work of the counting pass
 	// (block partition, like CCPD's iteration 1).
 	F1Work []int64
+	// PairWork is the per-processor work of the triangular-array pair pass
+	// (package pairs; block partition): every item ranked plus every pair
+	// counter incremented. Nil when the run skipped the pass — MaxK 1, fewer
+	// than two frequent items, or private triangles over the pairs budget,
+	// in which case level 1 diffs every pair of class members.
+	PairWork []int64
 	// BuildWork is the serial fill pass materializing the vertical columns.
 	BuildWork int64
 	// ClassWork[c] is the DFS work of first-level class c: every kernel
 	// word/tid touched while diffing that class's subtree. Written once by
-	// the class's claimant, deterministic per class.
+	// the class's claimant, deterministic per class. After a pair pass,
+	// level 1 diffs only the pairs the triangle marks frequent.
 	ClassWork []int64
 	// CountWork is the greedy list-schedule of ClassWork over Procs — the
 	// deterministic stand-in for the racy dynamic class assignment.
@@ -81,32 +89,30 @@ type Stats struct {
 
 // TotalWork sums every modelled work unit across processors.
 func (s *Stats) TotalWork() int64 {
-	var w int64 = s.BuildWork + s.ReduceWork
-	for _, v := range s.F1Work {
-		w += v
-	}
-	for _, v := range s.ClassWork {
-		w += v
+	w := s.BuildWork + s.ReduceWork
+	for _, part := range [][]int64{s.F1Work, s.PairWork, s.ClassWork} {
+		for _, v := range part {
+			w += v
+		}
 	}
 	return w
 }
 
-// ModelTime is the modelled parallel execution time: the critical path of
-// the F1 scan and the scheduled class work, plus the serial build and merge.
+// ModelTime is the modelled parallel execution time: the critical paths of
+// the F1 scan, the pair pass and the scheduled class work, plus the serial
+// build and merge.
 func (s *Stats) ModelTime() int64 {
-	var t int64
-	for _, v := range s.F1Work {
-		if v > t {
-			t = v
+	return maxOf(s.F1Work) + maxOf(s.PairWork) + s.BuildWork + maxOf(s.CountWork) + s.ReduceWork
+}
+
+func maxOf(v []int64) int64 {
+	var m int64
+	for _, x := range v {
+		if x > m {
+			m = x
 		}
 	}
-	var c int64
-	for _, v := range s.CountWork {
-		if v > c {
-			c = v
-		}
-	}
-	return t + s.BuildWork + c + s.ReduceWork
+	return m
 }
 
 // annotate stamps phase/iteration context onto a contained worker panic.
@@ -153,7 +159,7 @@ func Mine(ctx context.Context, d *db.Database, opts Options) (*apriori.Result, *
 	// Phase 1: parallel item counting (block partition, private arrays).
 	rec.SetPhase(obs.PhaseF1, 1)
 	rec.BeginPhase(obs.PhaseF1, 1)
-	sups, f1work, err := countItems(ctx, d, pool, opts.ChunkStride)
+	sups, f1work, err := pairs.CountItems(ctx, d, pool, opts.ChunkStride, nil)
 	rec.EndPhase(obs.PhaseF1, 1)
 	if err != nil {
 		return nil, nil, annotate(err, "f1", 1)
@@ -163,15 +169,35 @@ func Mine(ctx context.Context, d *db.Database, opts Options) (*apriori.Result, *
 		return nil, nil, err
 	}
 	stats.F1Work = f1work
-	for it, c := range sups {
-		if c >= minCount {
-			res.ByK[1] = append(res.ByK[1], apriori.FrequentItemset{Items: itemset.New(itemset.Item(it)), Count: c})
-		}
-	}
+	res.ByK[1] = pairs.FrequentItems(sups, minCount)
 	rec.IterStats(1, d.NumItems(), len(res.ByK[1]))
 	if opts.MaxK == 1 || len(res.ByK[1]) < 2 {
 		stats.Total = time.Since(start) //armlint:allow determinism wall-clock phase total feeds Stats only, never the work model
 		return res, stats, nil
+	}
+
+	// Phase 1b: count every frequent pair in one privatized triangular-array
+	// pass, so level 1 of the DFS diffs only the frequent pairs instead of
+	// all C(|F1|,2). Over the triangle budget the DFS diffs every pair.
+	var tri *pairs.Triangle
+	if n := len(res.ByK[1]); pairs.Fits(n, opts.Procs, d.Len()) {
+		items := make([]itemset.Item, n)
+		for i, f := range res.ByK[1] {
+			items[i] = f.Items[0]
+		}
+		rec.SetPhase(obs.PhaseCount, 2)
+		rec.BeginPhase(obs.PhaseCount, 2)
+		tri, stats.PairWork, err = pairs.Count(ctx, d, pool, items, opts.ChunkStride, nil)
+		rec.EndPhase(obs.PhaseCount, 2)
+		if err != nil {
+			return nil, nil, annotate(err, "count", 2)
+		}
+		if err := robust.Canceled(ctx, "count", 2); err != nil {
+			return res, stats, err
+		}
+		for p, w := range stats.PairWork {
+			rec.Worker(p).AddWork(w)
+		}
 	}
 
 	// Phase 2: materialize the vertical layout (serial fill; the counting
@@ -204,7 +230,7 @@ func Mine(ctx context.Context, d *db.Database, opts Options) (*apriori.Result, *
 	classOut := make([][][]apriori.FrequentItemset, len(heads))
 	cur := sched.NewCursor(len(heads))
 	err = pool.Run(func(p int) {
-		t := newTask(lay, minCount, opts.MaxK, len(heads))
+		t := newTask(lay, tri, minCount, opts.MaxK, len(heads))
 		var ow *obs.Worker
 		if rec.Enabled() {
 			ow = rec.Worker(p)
@@ -251,7 +277,11 @@ func Mine(ctx context.Context, d *db.Database, opts Options) (*apriori.Result, *
 		fk := apriori.MergeFrequent(ranges)
 		res.ByK = append(res.ByK, fk)
 		stats.ReduceWork += int64(len(fk))
-		rec.IterStats(k, len(fk), len(fk))
+		cands := len(fk)
+		if k == 2 && tri != nil {
+			cands = tri.Cells()
+		}
+		rec.IterStats(k, cands, len(fk))
 	}
 	rec.EndPhase(obs.PhaseReduce, 2)
 	stats.Total = time.Since(start) //armlint:allow determinism wall-clock phase total feeds Stats only, never the work model
@@ -260,43 +290,6 @@ func Mine(ctx context.Context, d *db.Database, opts Options) (*apriori.Result, *
 		return res, stats, err
 	}
 	return res, stats, nil
-}
-
-// countItems is the parallel F1 scan: block partition, per-processor
-// private count arrays, serial reduction. Returns the full per-item counts
-// (the layout build reuses them) plus the per-processor scan work.
-func countItems(ctx context.Context, d *db.Database, pool *sched.Pool, stride int) ([]int64, []int64, error) {
-	procs := pool.Procs()
-	local := make([][]int64, procs)
-	work := make([]int64, procs)
-	slices := d.BlockPartition(procs)
-	err := pool.Run(func(p int) {
-		counts := make([]int64, d.NumItems())
-		var w int64
-		s := slices[p]
-		for i := s.Lo; i < s.Hi; i++ {
-			if (i-s.Lo)%stride == 0 && ctx != nil && ctx.Err() != nil {
-				break
-			}
-			items := d.Items(i)
-			w += int64(len(items)) * WorkItemScan
-			for _, it := range items {
-				counts[it]++
-			}
-		}
-		local[p] = counts
-		work[p] = w
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	sums := make([]int64, d.NumItems())
-	for p := 0; p < procs; p++ {
-		for it, c := range local[p] {
-			sums[it] += c
-		}
-	}
-	return sums, work, nil
 }
 
 // head is one first-level class anchor: a frequent item with its tidset.
@@ -320,6 +313,7 @@ type node struct {
 // emitted itemsets alias it.
 type task struct {
 	lay      *Layout
+	tri      *pairs.Triangle // pair counts over head ranks; nil: diff every pair
 	scr      *Scratch
 	minCount int64
 	maxK     int
@@ -330,9 +324,10 @@ type task struct {
 	out   [][]apriori.FrequentItemset
 }
 
-func newTask(lay *Layout, minCount int64, maxK, maxDepth int) *task {
+func newTask(lay *Layout, tri *pairs.Triangle, minCount int64, maxK, maxDepth int) *task {
 	return &task{
 		lay:      lay,
+		tri:      tri,
 		scr:      lay.NewScratch(),
 		minCount: minCount,
 		maxK:     maxK,
@@ -351,9 +346,14 @@ func (t *task) mineClass(heads []head, c int) [][]apriori.FrequentItemset {
 		return t.out
 	}
 	// Level 2: diffsets against the anchor's tidset, d(ab) = t(a) \ t(b),
-	// sup(ab) = sup(a) − |d(ab)|.
+	// sup(ab) = sup(a) − |d(ab)|. Heads are F1 in item order, so head
+	// indexes are the triangle's ranks: a pair it counted below minCount is
+	// skipped without touching either set.
 	var children []node
 	for j := c + 1; j < len(heads); j++ {
+		if t.tri != nil && t.tri.Support(c, j) < t.minCount {
+			continue
+		}
 		card, words, n := t.diffInto(anchor.s, heads[j].s)
 		sup := anchor.sup - card
 		if sup >= t.minCount {

@@ -3,6 +3,7 @@ package vbit
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/itemset"
 	"repro/internal/oracle"
+	"repro/internal/pairs"
 	"repro/internal/robust"
 )
 
@@ -176,17 +178,36 @@ func TestModelPinned(t *testing.T) {
 	}
 	// Frozen values for N=60 L=15 I=3 T=6 D=400 seed=5 at support 0.01 with
 	// the default layout cutoff: 28 bitmap columns, 9 tidlist columns, 37
-	// first-level classes.
-	const pinnedTotalWork = 99455
-	if ref.TotalWork() != pinnedTotalWork {
-		t.Errorf("TotalWork = %d, want pinned %d", ref.TotalWork(), pinnedTotalWork)
+	// first-level classes. With the pair pass, TotalWork is 9511 pair-pass
+	// units plus 83143 class units (level 1 diffs only the frequent pairs)
+	// plus the F1, build and merge terms; over the triangle budget the run
+	// falls back to diffing every level-1 pair, whose totals are the
+	// pre-pair-pass pins (86262 class units, no pair work).
+	for _, pin := range []struct {
+		name             string
+		budget           int64
+		total, modelTime int64
+	}{
+		{"pair pass", 256 << 20, 105847, 40992},
+		{"fallback", 0, 99455, 38668},
+	} {
+		restore := pairs.SetBudgetForTesting(pin.budget)
+		_, st1, err1 := Mine(context.Background(), d, Options{MinSupport: 0.01, Procs: 1})
+		_, st4, err4 := Mine(context.Background(), d, Options{MinSupport: 0.01, Procs: 4})
+		restore()
+		if err1 != nil || err4 != nil {
+			t.Fatal(err1, err4)
+		}
+		if st1.TotalWork() != pin.total || st4.TotalWork() != pin.total {
+			t.Errorf("%s: TotalWork procs=1/4 = %d/%d, want pinned %d", pin.name, st1.TotalWork(), st4.TotalWork(), pin.total)
+		}
+		if st4.ModelTime() != pin.modelTime {
+			t.Errorf("%s: ModelTime(procs=4) = %d, want pinned %d", pin.name, st4.ModelTime(), pin.modelTime)
+		}
 	}
 	_, stats4, err := Mine(context.Background(), d, Options{MinSupport: 0.01, Procs: 4})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if stats4.ModelTime() != 38668 {
-		t.Errorf("ModelTime(procs=4) = %d, want pinned 38668", stats4.ModelTime())
 	}
 	if stats4.Classes != 37 || stats4.DenseItems != 28 || stats4.SparseItems != 9 {
 		t.Errorf("classes/dense/sparse = %d/%d/%d, want 37/28/9",
@@ -201,5 +222,42 @@ func TestModelPinned(t *testing.T) {
 	}
 	if schedSum != classSum {
 		t.Errorf("GreedySchedule lost work: %d != %d", schedSum, classSum)
+	}
+}
+
+// TestPairPassFallbackIdentical: the pair pass only filters which level-1
+// pairs the DFS diffs, so a run over the triangle budget (every pair diffed,
+// no PairWork) returns the same result under every layout, and never does
+// less class work.
+func TestPairPassFallbackIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 4; trial++ {
+		d := randomDB(rng, 30, 300, 0.1+0.1*float64(trial))
+		for _, cutoff := range []float64{0, 1e-9, 1.5} {
+			opts := Options{MinSupport: 0.03, Procs: 3, DensityCutoff: cutoff}
+			res, st, err := Mine(context.Background(), d, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restore := pairs.SetBudgetForTesting(0)
+			fres, fst, err := Mine(context.Background(), d, opts)
+			restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("trial %d cutoff %g", trial, cutoff)
+			oracle.SameResult(t, label, res, fres)
+			if st.PairWork == nil || fst.PairWork != nil {
+				t.Errorf("%s: PairWork %v / fallback %v, want set / nil", label, st.PairWork, fst.PairWork)
+			}
+			var cw, fcw int64
+			for c := range st.ClassWork {
+				cw += st.ClassWork[c]
+				fcw += fst.ClassWork[c]
+			}
+			if cw > fcw {
+				t.Errorf("%s: class work %d with the pair pass exceeds %d without", label, cw, fcw)
+			}
+		}
 	}
 }
